@@ -70,18 +70,35 @@ struct ResourceLedger::Shard {
 
 namespace {
 
-// Shards are shared_ptrs held by both the owning thread and a leaked
-// registry, so snapshots survive thread exit (same lifetime scheme as the
-// trace recorder's thread buffers).
+// Live threads' shards, plus `retired`: the cells of threads that have
+// exited, folded in by their ShardReleaser. Registry memory therefore
+// follows the number of live threads, not thread churn. Leaked on purpose:
+// thread-exit destructors may run after static teardown.
 struct ShardRegistry {
   std::mutex mu;
-  std::vector<std::shared_ptr<ResourceLedger::Shard>> shards;
+  std::vector<ResourceLedger::Shard*> live;
+  std::map<std::pair<PrincipalId, std::string>, LedgerCell> retired;
 };
 
 ShardRegistry& Shards() {
   static ShardRegistry* registry = new ShardRegistry();
   return *registry;
 }
+
+// Owns the calling thread's shard; at thread exit folds its cells into the
+// registry's retired cells and unregisters it.
+struct ShardReleaser {
+  std::unique_ptr<ResourceLedger::Shard> shard;
+  ~ShardReleaser() {
+    if (shard == nullptr) return;
+    auto& registry = Shards();
+    std::scoped_lock lock(registry.mu);
+    std::erase(registry.live, shard.get());
+    for (const auto& [key, cell] : shard->cells) {
+      registry.retired[key].Merge(cell);
+    }
+  }
+};
 
 }  // namespace
 
@@ -91,14 +108,14 @@ ResourceLedger& ResourceLedger::Global() {
 }
 
 ResourceLedger::Shard& ResourceLedger::LocalShard() {
-  thread_local std::shared_ptr<Shard> shard = [] {
-    auto s = std::make_shared<Shard>();
+  thread_local ShardReleaser releaser;
+  if (releaser.shard == nullptr) {
+    releaser.shard = std::make_unique<Shard>();
     auto& registry = Shards();
     std::scoped_lock lock(registry.mu);
-    registry.shards.push_back(s);
-    return s;
-  }();
-  return *shard;
+    registry.live.push_back(releaser.shard.get());
+  }
+  return *releaser.shard;
 }
 
 void ResourceLedger::Charge(PrincipalId principal, const std::string& op,
@@ -109,10 +126,11 @@ void ResourceLedger::Charge(PrincipalId principal, const std::string& op,
 }
 
 std::vector<LedgerEntry> ResourceLedger::Snapshot() const {
-  std::map<std::pair<PrincipalId, std::string>, LedgerCell> merged;
   auto& registry = Shards();
   std::scoped_lock lock(registry.mu);
-  for (const auto& shard : registry.shards) {
+  std::map<std::pair<PrincipalId, std::string>, LedgerCell> merged =
+      registry.retired;
+  for (Shard* shard : registry.live) {
     std::scoped_lock shard_lock(shard->mu);
     for (const auto& [key, cell] : shard->cells) merged[key].Merge(cell);
   }
@@ -127,10 +145,17 @@ std::vector<LedgerEntry> ResourceLedger::Snapshot() const {
 void ResourceLedger::Clear() {
   auto& registry = Shards();
   std::scoped_lock lock(registry.mu);
-  for (const auto& shard : registry.shards) {
+  registry.retired.clear();
+  for (Shard* shard : registry.live) {
     std::scoped_lock shard_lock(shard->mu);
     shard->cells.clear();
   }
+}
+
+std::size_t ResourceLedger::LiveShards() {
+  auto& registry = Shards();
+  std::scoped_lock lock(registry.mu);
+  return registry.live.size();
 }
 
 std::vector<LedgerEntry> MergeLedgerEntries(

@@ -101,9 +101,10 @@ struct LedgerEntry {
 
 // Sharded per-thread (principal, op) accumulators. A charge takes the
 // owning thread's shard mutex — uncontended except against a snapshotter —
-// so charging never serializes across threads. Shards are owned by a
-// leaked registry (the TraceRecorder idiom): a snapshot can walk buffers
-// of threads that have already exited.
+// so charging never serializes across threads. At thread exit a shard's
+// cells fold into one retired accumulator and the shard is freed, so
+// snapshots still count exited threads while memory follows the number of
+// live threads, not thread churn.
 class ResourceLedger {
  public:
   static ResourceLedger& Global();
@@ -118,6 +119,9 @@ class ResourceLedger {
   // Exact merge across shards, sorted by (principal, op).
   std::vector<LedgerEntry> Snapshot() const;
   void Clear();
+
+  // Shards of live threads that have charged (for tests).
+  static std::size_t LiveShards();
 
   struct Shard;  // public so the shard registry can hold them
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -39,17 +40,53 @@ struct EventJournal::ThreadRing {
 
 namespace {
 
+// Live threads' rings, plus `retired`: the newest kRingCapacity events of
+// threads that have exited, folded in by their RingReleaser, so the
+// registry follows the number of live threads, not thread churn. Events an
+// exiting thread's fold pushes out count as overwritten. Leaked on purpose
+// (same as TraceRecorder's registry): thread-exit destructors may run after
+// static teardown.
 struct RingRegistry {
   std::mutex mu;
-  std::vector<std::shared_ptr<EventJournal::ThreadRing>> rings;
+  std::vector<EventJournal::ThreadRing*> live;
+  std::vector<Event> retired;  // sorted by t_us
+  std::uint64_t retired_overwritten = 0;
 };
 
-// Leaked intentionally (same as TraceRecorder's registry): thread-exit
-// destructors of thread_local shared_ptrs may run after static teardown.
 RingRegistry& Registry() {
   static RingRegistry* registry = new RingRegistry();
   return *registry;
 }
+
+// Owns the calling thread's ring; at thread exit folds it into the
+// registry's retired events and unregisters it.
+struct RingReleaser {
+  std::unique_ptr<EventJournal::ThreadRing> ring;
+  ~RingReleaser() {
+    if (ring == nullptr) return;
+    auto& registry = Registry();
+    std::scoped_lock lock(registry.mu);
+    std::erase(registry.live, ring.get());
+    registry.retired_overwritten += ring->overwritten;
+    if (ring->events.empty()) return;
+    std::vector<Event>& retired = registry.retired;
+    const auto mid = static_cast<std::ptrdiff_t>(retired.size());
+    retired.insert(retired.end(), std::make_move_iterator(ring->events.begin()),
+                   std::make_move_iterator(ring->events.end()));
+    const auto by_time = [](const Event& a, const Event& b) {
+      return a.t_us < b.t_us;
+    };
+    std::sort(retired.begin() + mid, retired.end(), by_time);
+    std::inplace_merge(retired.begin(), retired.begin() + mid, retired.end(),
+                       by_time);
+    if (retired.size() > EventJournal::kRingCapacity) {
+      const std::size_t excess = retired.size() - EventJournal::kRingCapacity;
+      retired.erase(retired.begin(),
+                    retired.begin() + static_cast<std::ptrdiff_t>(excess));
+      registry.retired_overwritten += excess;
+    }
+  }
+};
 
 void AppendJsonString(std::string& out, const std::string& s) {
   out += '"';
@@ -81,14 +118,14 @@ EventJournal& EventJournal::Global() {
 }
 
 EventJournal::ThreadRing& EventJournal::LocalRing() {
-  thread_local std::shared_ptr<ThreadRing> ring = [] {
-    auto r = std::make_shared<ThreadRing>();
+  thread_local RingReleaser releaser;
+  if (releaser.ring == nullptr) {
+    releaser.ring = std::make_unique<ThreadRing>();
     auto& registry = Registry();
     std::scoped_lock lock(registry.mu);
-    registry.rings.push_back(r);
-    return r;
-  }();
-  return *ring;
+    registry.live.push_back(releaser.ring.get());
+  }
+  return *releaser.ring;
 }
 
 void EventJournal::Record(EventType type, std::string scope,
@@ -113,10 +150,10 @@ void EventJournal::Record(EventType type, std::string scope,
 }
 
 std::vector<Event> EventJournal::Snapshot() const {
-  std::vector<Event> all;
   auto& registry = Registry();
   std::scoped_lock lock(registry.mu);
-  for (const auto& ring : registry.rings) {
+  std::vector<Event> all = registry.retired;
+  for (const ThreadRing* ring : registry.live) {
     std::scoped_lock ring_lock(ring->mu);
     all.insert(all.end(), ring->events.begin(), ring->events.end());
   }
@@ -126,10 +163,10 @@ std::vector<Event> EventJournal::Snapshot() const {
 }
 
 std::uint64_t EventJournal::Overwritten() const {
-  std::uint64_t total = 0;
   auto& registry = Registry();
   std::scoped_lock lock(registry.mu);
-  for (const auto& ring : registry.rings) {
+  std::uint64_t total = registry.retired_overwritten;
+  for (const ThreadRing* ring : registry.live) {
     std::scoped_lock ring_lock(ring->mu);
     total += ring->overwritten;
   }
@@ -139,12 +176,20 @@ std::uint64_t EventJournal::Overwritten() const {
 void EventJournal::Clear() {
   auto& registry = Registry();
   std::scoped_lock lock(registry.mu);
-  for (const auto& ring : registry.rings) {
+  registry.retired.clear();
+  registry.retired_overwritten = 0;
+  for (ThreadRing* ring : registry.live) {
     std::scoped_lock ring_lock(ring->mu);
     ring->events.clear();
     ring->next = 0;
     ring->overwritten = 0;
   }
+}
+
+std::size_t EventJournal::LiveRings() {
+  auto& registry = Registry();
+  std::scoped_lock lock(registry.mu);
+  return registry.live.size();
 }
 
 std::string EventJournal::ToJson() const {

@@ -71,6 +71,10 @@ class EventJournal {
 
   void Clear();
 
+  // Rings of live threads that have recorded (for tests). An exiting
+  // thread's events fold into one shared ring of the same capacity.
+  static std::size_t LiveRings();
+
   // {"events":[{"t_us":...,"type":"peer_dead","scope":...,"detail":...,
   //   "value":...,"trace_id":"<hex>"}],"overwritten":N}
   std::string ToJson() const;

@@ -62,8 +62,7 @@ struct ThreadRing {
 // Rings live until process exit (leaky registry: threads may still receive
 // a late signal while static destructors run). Exited threads park their
 // ring on a free list; the next new thread reuses it, so memory is bounded
-// by the peak number of concurrent threads, not thread churn — essential
-// with the active server spawning one thread per method execution.
+// by the peak number of concurrent threads, not thread churn.
 struct RingRegistry {
   std::mutex mu;
   std::vector<std::unique_ptr<ThreadRing>> all;

@@ -15,6 +15,8 @@
 // core over so the condition can actually become true.
 #pragma once
 
+#include <sched.h>
+
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -38,10 +40,12 @@ class AdaptiveSpin {
   // `max_spins` bounds the budget; 0 disables spinning entirely (every
   // wait parks immediately — used by tests to force the park path).
   //
-  // On a single-core machine spinning is structurally useless: the awaited
+  // On a single core spinning is structurally useless: the awaited
   // condition can only become true once the producer gets the CPU, which is
   // exactly what parking yields faster than a spin loop. The budget is
-  // therefore forced to 0 there regardless of `max_spins`.
+  // therefore forced to 0 when the constructing thread may run on only one
+  // CPU (a one-core machine, or an affinity mask from taskset or a cpuset),
+  // regardless of `max_spins`.
   explicit AdaptiveSpin(std::uint32_t max_spins = kDefaultMaxSpins)
       : max_spins_(MultiCore() ? max_spins : 0), budget_(max_spins_ / 4) {}
 
@@ -93,9 +97,15 @@ class AdaptiveSpin {
     budget_.store(b / 2 > floor ? b / 2 : floor, std::memory_order_relaxed);
   }
 
+  // CPUs the calling thread may run on. Asked on every construction, not
+  // cached: affinity is per thread and can change after startup.
   static bool MultiCore() {
-    static const bool multi = std::thread::hardware_concurrency() > 1;
-    return multi;
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (::sched_getaffinity(0, sizeof(set), &set) != 0) {
+      return std::thread::hardware_concurrency() > 1;
+    }
+    return CPU_COUNT(&set) > 1;
   }
 
   static constexpr std::uint32_t kMinSpins = 4;

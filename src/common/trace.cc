@@ -5,6 +5,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -93,15 +95,38 @@ struct TraceRecorder::ThreadBuffer {
 
 namespace {
 
+// Live threads' buffers, plus `retired`: the spans of threads that have
+// exited, moved there by their BufferReleaser, so the registry follows the
+// number of live threads, not thread churn. Retired spans are kept until
+// Clear(), as a live thread's are. Leaked on purpose: thread-exit
+// destructors may run after static teardown.
 struct BufferRegistry {
   std::mutex mu;
-  std::vector<std::shared_ptr<TraceRecorder::ThreadBuffer>> buffers;
+  std::vector<TraceRecorder::ThreadBuffer*> live;
+  // A deque: appending an exiting thread's spans never moves the spans
+  // already retired, so a thread exit costs only its own spans.
+  std::deque<SpanRecord> retired;
 };
 
 BufferRegistry& Registry() {
   static BufferRegistry* registry = new BufferRegistry();
   return *registry;
 }
+
+// Owns the calling thread's buffer; at thread exit moves its spans to the
+// registry's retired spans and unregisters it.
+struct BufferReleaser {
+  std::unique_ptr<TraceRecorder::ThreadBuffer> buffer;
+  ~BufferReleaser() {
+    if (buffer == nullptr) return;
+    auto& registry = Registry();
+    std::scoped_lock lock(registry.mu);
+    std::erase(registry.live, buffer.get());
+    registry.retired.insert(registry.retired.end(),
+                            std::make_move_iterator(buffer->spans.begin()),
+                            std::make_move_iterator(buffer->spans.end()));
+  }
+};
 
 }  // namespace
 
@@ -111,14 +136,14 @@ TraceRecorder& TraceRecorder::Global() {
 }
 
 TraceRecorder::ThreadBuffer& TraceRecorder::LocalBuffer() {
-  thread_local std::shared_ptr<ThreadBuffer> buffer = [] {
-    auto b = std::make_shared<ThreadBuffer>();
+  thread_local BufferReleaser releaser;
+  if (releaser.buffer == nullptr) {
+    releaser.buffer = std::make_unique<ThreadBuffer>();
     auto& registry = Registry();
     std::scoped_lock lock(registry.mu);
-    registry.buffers.push_back(b);
-    return b;
-  }();
-  return *buffer;
+    registry.live.push_back(releaser.buffer.get());
+  }
+  return *releaser.buffer;
 }
 
 void TraceRecorder::Record(SpanRecord record) {
@@ -138,14 +163,21 @@ void TraceRecorder::Record(SpanRecord record) {
 }
 
 std::vector<SpanRecord> TraceRecorder::Snapshot() const {
-  std::vector<SpanRecord> all;
   auto& registry = Registry();
   std::scoped_lock lock(registry.mu);
-  for (const auto& buffer : registry.buffers) {
+  std::vector<SpanRecord> all(registry.retired.begin(),
+                              registry.retired.end());
+  for (const ThreadBuffer* buffer : registry.live) {
     std::scoped_lock buffer_lock(buffer->mu);
     all.insert(all.end(), buffer->spans.begin(), buffer->spans.end());
   }
   return all;
+}
+
+std::size_t TraceRecorder::LiveBuffers() {
+  auto& registry = Registry();
+  std::scoped_lock lock(registry.mu);
+  return registry.live.size();
 }
 
 std::uint64_t TraceRecorder::DroppedSpans() const {
@@ -155,7 +187,8 @@ std::uint64_t TraceRecorder::DroppedSpans() const {
 void TraceRecorder::Clear() {
   auto& registry = Registry();
   std::scoped_lock lock(registry.mu);
-  for (const auto& buffer : registry.buffers) {
+  registry.retired.clear();
+  for (ThreadBuffer* buffer : registry.live) {
     std::scoped_lock buffer_lock(buffer->mu);
     buffer->spans.clear();
   }

@@ -99,6 +99,10 @@ class TraceRecorder {
   std::uint64_t DroppedSpans() const;
   void Clear();
 
+  // Buffers of live threads that have recorded (for tests). An exiting
+  // thread's spans move to one shared retired buffer.
+  static std::size_t LiveBuffers();
+
   // Chrome trace-event JSON: {"traceEvents":[...]}. Span/trace ids are
   // attached as args so cross-process linkage survives the export.
   std::string ToChromeJson() const;

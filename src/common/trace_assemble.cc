@@ -405,29 +405,37 @@ AssembledTrace BuildTrace(std::uint64_t trace_id,
               });
   }
 
-  // Depth + clamping, breadth-first from the root: children are confined to
-  // their parent's window, so residual clock error cannot make the critical
-  // path run backwards.
-  {
-    AssembledSpan& root = trace.spans[trace.root];
-    root.clamp_start_us = root.span.start_us;
-    root.clamp_end_us = root.span.start_us + root.span.dur_us;
-  }
+  // Depth + clamping, breadth-first from the root. A child recorded on
+  // another node than its parent is confined to the parent's window, so
+  // residual clock error cannot make the critical path run backwards. A
+  // child on its parent's node shares its clock, and may truly outlive it:
+  // an action's run span starts under the stream open that submitted it and
+  // runs on through the client's writes and close. It is confined to the
+  // root's window only, so that time is charged to the run.
+  const std::uint64_t root_lo = trace.spans[trace.root].span.start_us;
+  const std::uint64_t root_hi =
+      root_lo + trace.spans[trace.root].span.dur_us;
+  trace.spans[trace.root].clamp_start_us = root_lo;
+  trace.spans[trace.root].clamp_end_us = root_hi;
   std::vector<std::size_t> order{trace.root};
   for (std::size_t qi = 0; qi < order.size(); ++qi) {
     const std::size_t idx = order[qi];
-    // Copy the bounds: push_back below may not reallocate trace.spans, but
-    // the child loop writes sibling entries of the same vector.
+    // Copy the parent's fields: the child loop writes sibling entries of
+    // the same vector.
     const std::uint64_t plo = trace.spans[idx].clamp_start_us;
     const std::uint64_t phi = trace.spans[idx].clamp_end_us;
     const std::size_t pdepth = trace.spans[idx].depth;
+    const std::string pnode = trace.spans[idx].node;
     for (const std::size_t child : trace.spans[idx].children) {
       AssembledSpan& c = trace.spans[child];
       c.depth = pdepth + 1;
+      const bool same_node = !c.node.empty() && c.node == pnode;
+      const std::uint64_t lo = same_node ? root_lo : plo;
+      const std::uint64_t hi = same_node ? root_hi : phi;
       const std::uint64_t s = c.span.start_us;
       const std::uint64_t e = c.span.start_us + c.span.dur_us;
-      c.clamp_start_us = std::clamp(s, plo, phi);
-      c.clamp_end_us = std::clamp(e, c.clamp_start_us, phi);
+      c.clamp_start_us = std::clamp(s, lo, hi);
+      c.clamp_end_us = std::clamp(e, c.clamp_start_us, hi);
       order.push_back(child);
     }
   }

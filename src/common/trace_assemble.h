@@ -22,8 +22,11 @@
 //      root spanning the forest.
 //   3. Critical path + attribution. The blocking critical path is the
 //      partition of the root's [start, end] where each instant is charged
-//      to the deepest span covering it (children clamp into their parent's
-//      window, so residual skew cannot produce a non-monotone path). Each
+//      to the deepest span covering it (a child on another node than its
+//      parent clamps into the parent's window, so residual skew cannot
+//      produce a non-monotone path; a same-node child shares the parent's
+//      clock and clamps into the root's window only, since it may truly
+//      outlive its parent, like an action run outliving its stream open). Each
 //      segment maps to an attribution bucket by span name:
 //        client (root / cli.* / load.* / faas.*), net (rpc.*),
 //        server (handle.* / meta.* / storage.*), queue (action.*.queue),
@@ -95,8 +98,9 @@ struct AssembledSpan {
   std::vector<std::size_t> children;  // sorted by start
   std::size_t depth = 0;     // root = 0
   bool synthetic = false;
-  // Aligned interval clamped into the parent's window (what the critical
-  // path sweeps over); equals the span's own interval when clocks agree.
+  // Aligned interval clamped into the parent's window, or the root's for a
+  // span on its parent's node (what the critical path sweeps over); equals
+  // the span's own interval when clocks agree.
   std::uint64_t clamp_start_us = 0;
   std::uint64_t clamp_end_us = 0;
 };

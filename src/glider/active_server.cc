@@ -29,59 +29,28 @@ static std::uint64_t ThreadCpuMicros() {
          static_cast<std::uint64_t>(ts.tv_nsec) / 1000u;
 }
 
+// The method thread's own CPU clock, resolved once when the thread starts
+// (MethodThreads::Loop) and published to the watchdog by each method run.
+static thread_local clockid_t t_method_clock = CLOCK_THREAD_CPUTIME_ID;
+
 // Watchdog view of a slot's in-flight method. run_start_us != 0 publishes
 // the rest (written by the method thread before it, read by the watchdog
-// thread). `cpu_clock` is the method thread's CPU clock: the watchdog
-// measures CPU burnt since `cpu_at_progress_us` (bumped on every channel
-// touch), so "stalled" means burning CPU without yielding — a method parked
-// on a channel accrues no CPU and is never flagged. If the thread exits
-// between the run_start check and the clock read, clock_gettime fails and
-// the scan skips the slot.
+// thread). The method thread only counts its channel touches in `progress`;
+// the watchdog reads the method thread's `cpu_clock` itself and measures
+// CPU burnt since it last saw `progress` or `run_start_us` move. "Stalled"
+// therefore means burning CPU without yielding — a method parked on a
+// channel accrues no CPU and is never flagged — and the measure starts up
+// to one scan late, never early. If the thread exits between the run_start
+// check and the clock read, clock_gettime fails and the scan skips the slot.
 struct SlotRunState {
   std::atomic<std::uint64_t> run_start_us{0};  // wall clock; 0 = idle
-  std::atomic<std::uint64_t> cpu_at_progress_us{0};
+  std::atomic<std::uint64_t> progress{0};
   std::atomic<clockid_t> cpu_clock{CLOCK_THREAD_CPUTIME_ID};
   std::atomic<const char*> method{""};
-  std::atomic<bool> flagged{false};  // one warning per stall episode
 
   // Called by the method thread whenever it touches its stream channel —
   // the watchdog's definition of "yield/progress".
-  void BumpProgress() {
-    cpu_at_progress_us.store(ThreadCpuMicros(), std::memory_order_relaxed);
-    flagged.store(false, std::memory_order_relaxed);
-  }
-};
-
-// Marks a slot's method as running for the watchdog, for the lifetime of
-// the method body on the action thread.
-class MethodRunScope {
- public:
-  MethodRunScope(SlotRunState* run, const char* method) : run_(run) {
-    clockid_t clock = CLOCK_THREAD_CPUTIME_ID;
-    ::pthread_getcpuclockid(::pthread_self(), &clock);
-    run_->cpu_clock.store(clock, std::memory_order_relaxed);
-    run_->cpu_at_progress_us.store(ThreadCpuMicros(),
-                                   std::memory_order_relaxed);
-    run_->method.store(method, std::memory_order_relaxed);
-    run_->flagged.store(false, std::memory_order_relaxed);
-    start_ = obs::TraceNowMicros();
-    run_->run_start_us.store(start_, std::memory_order_release);
-  }
-  ~MethodRunScope() {
-    // The scope outlives the monitor hand-off (it unwinds after Exit), so
-    // the next method on this slot may already have published its own
-    // start. Clear only our own mark.
-    std::uint64_t expected = start_;
-    run_->run_start_us.compare_exchange_strong(expected, 0,
-                                               std::memory_order_release,
-                                               std::memory_order_relaxed);
-  }
-  MethodRunScope(const MethodRunScope&) = delete;
-  MethodRunScope& operator=(const MethodRunScope&) = delete;
-
- private:
-  SlotRunState* run_;
-  std::uint64_t start_ = 0;
+  void BumpProgress() { progress.fetch_add(1, std::memory_order_relaxed); }
 };
 
 // One action slot: the unit of active-server capacity. Holds the live
@@ -176,7 +145,6 @@ class ChannelInputStream : public ActionInputStream {
       // Drain every queued task with a single channel lock/wakeup: doorbell
       // batches arrive together, so one wake serves many ReadChunk calls.
       auto batch = channel_->BlockingPopAll(monitor_, kDrainMax);
-      run_->BumpProgress();
       if (!batch.ok()) {
         // Teardown while reading: surface as end of stream.
         eos_ = true;
@@ -248,9 +216,7 @@ class ChannelOutputStream : public ActionOutputStream {
     std::copy(data.begin(), data.end(), chunk.mutable_span().begin());
     data_plane::RecordCopy(data.size());
     task.data = std::move(chunk);
-    const Status admitted = channel_->BlockingPush(std::move(task), monitor_);
-    run_->BumpProgress();
-    return admitted;
+    return channel_->BlockingPush(std::move(task), monitor_);
   }
 
   void Close() override {
@@ -346,13 +312,71 @@ struct MethodTrace {
 
 }  // namespace
 
+// One method's hold on its slot, from monitor admission to Release(): the
+// watchdog mark, the run span and the CPU charge.
+class ActiveServer::MethodTurn {
+ public:
+  // Construct holding the slot's turn, with the method's profile tag
+  // installed (EnterRun files the queue wait under it).
+  MethodTurn(Slot& slot, const char* method, const MethodTrace& trace,
+             bool acct)
+      : slot_(slot), trace_(trace), acct_(acct) {
+    SlotRunState& run = slot_.run;
+    run.cpu_clock.store(t_method_clock, std::memory_order_relaxed);
+    run.method.store(method, std::memory_order_relaxed);
+    mark_us_ = obs::TraceNowMicros();
+    run.run_start_us.store(mark_us_, std::memory_order_release);
+    cpu_start_us_ = acct_ ? ThreadCpuMicros() : 0;
+    run_start_us_ = trace_.EnterRun();
+  }
+  ~MethodTurn() { Release(); }
+  MethodTurn(const MethodTurn&) = delete;
+  MethodTurn& operator=(const MethodTurn&) = delete;
+
+  Slot& slot() const { return slot_; }
+  // The monitor a method yields at channel waits: its slot's, when the
+  // action interleaves.
+  ActionMonitor* yield() const {
+    return slot_.interleave ? &slot_.monitor : nullptr;
+  }
+
+  // Hands the slot's turn to the next method, then records the run span and
+  // charges the method's CPU to the slot and to the caller. Idempotent.
+  void Release() {
+    if (released_) return;
+    released_ = true;
+    // An interleaved method of this slot may have published its own start
+    // since: clear only our own mark.
+    std::uint64_t expected = mark_us_;
+    slot_.run.run_start_us.compare_exchange_strong(
+        expected, 0, std::memory_order_release, std::memory_order_relaxed);
+    slot_.monitor.Exit();
+    trace_.FinishRun(run_start_us_);
+    if (acct_) {
+      const std::uint64_t cpu = ThreadCpuMicros() - cpu_start_us_;
+      slot_.stats.cpu_us->Add(cpu);
+      trace_.ChargeCpu(cpu);
+    }
+  }
+
+ private:
+  Slot& slot_;
+  const MethodTrace& trace_;
+  const bool acct_;
+  bool released_ = false;
+  std::uint64_t mark_us_ = 0;
+  std::uint64_t cpu_start_us_ = 0;
+  std::uint64_t run_start_us_ = 0;
+};
+
 ActiveServer::ActiveServer(Options options,
                            std::shared_ptr<ActionRegistry> registry,
                            std::shared_ptr<Metrics> metrics)
     : net::ServiceRouter("active", metrics.get()),
       options_(std::move(options)),
       registry_(std::move(registry)),
-      metrics_(std::move(metrics)) {
+      metrics_(std::move(metrics)),
+      method_threads_(options_.num_slots) {
   auto& reg = obs::MetricsRegistry::Global();
   total_queue_depth_ = &reg.GetGauge("active.queue_depth");
   total_stalls_ = &reg.GetCounter("active.stalls");
@@ -420,45 +444,88 @@ ActiveServer::ActiveServer(Options options,
       });
 }
 
-Status ActiveServer::MethodRunner::Submit(std::function<void()> task) {
-  std::vector<std::thread> reaped;
+struct ActiveServer::MethodThreads::Worker {
+  std::thread thread;
+  std::condition_variable wake;
+  std::function<void()> task;  // handed over by Submit while parked
+};
+
+ActiveServer::MethodThreads::MethodThreads(std::size_t max_parked)
+    : max_parked_(max_parked),
+      spawned_(&obs::MetricsRegistry::Global().GetCounter(
+          "active.method_threads_spawned")) {}
+
+ActiveServer::MethodThreads::~MethodThreads() { Shutdown(); }
+
+Status ActiveServer::MethodThreads::Submit(std::function<void()> task) {
+  std::vector<std::thread> exited;
   {
     std::scoped_lock lock(mu_);
     if (shutdown_) return Status::Closed("active server shutting down");
-    // Pull out threads whose bodies already completed; joined below,
-    // outside the lock (the join itself only waits for thread exit).
-    reaped.reserve(finished_.size());
-    for (const std::uint64_t id : finished_) {
-      auto it = threads_.find(id);
-      if (it != threads_.end()) {
-        reaped.push_back(std::move(it->second));
-        threads_.erase(it);
-      }
+    if (!parked_.empty()) {
+      Worker* worker = parked_.back();
+      parked_.pop_back();
+      worker->task = std::move(task);
+      // Under the lock: once it is released the worker may run the task,
+      // find the cache full, and destroy itself.
+      worker->wake.notify_one();
+      return Status::Ok();
     }
-    finished_.clear();
-    const std::uint64_t id = next_id_++;
-    threads_.emplace(id, std::thread([this, id, task = std::move(task)] {
-                       task();
-                       std::scoped_lock done_lock(mu_);
-                       finished_.push_back(id);
-                     }));
+    exited.swap(exited_);
+    auto owned = std::make_unique<Worker>();
+    Worker* worker = owned.get();
+    // Started under the lock, so `worker->thread` is set before the thread
+    // can reach its own exit path.
+    worker->thread = std::thread(
+        [this, worker, task = std::move(task)]() mutable {
+          Loop(worker, std::move(task));
+        });
+    workers_.push_back(std::move(owned));
+    spawned_->Increment();
   }
-  for (auto& t : reaped) {
-    if (t.joinable()) t.join();
-  }
+  for (std::thread& t : exited) t.join();
   return Status::Ok();
 }
 
-void ActiveServer::MethodRunner::Shutdown() {
-  std::map<std::uint64_t, std::thread> to_join;
+void ActiveServer::MethodThreads::Loop(Worker* worker,
+                                       std::function<void()> task) {
+  clockid_t clock = CLOCK_THREAD_CPUTIME_ID;
+  if (::pthread_getcpuclockid(::pthread_self(), &clock) == 0) {
+    t_method_clock = clock;
+  }
+  while (true) {
+    task();
+    task = nullptr;  // drop the method's captures before parking
+    std::unique_lock lock(mu_);
+    if (shutdown_) return;  // Shutdown joins it
+    if (parked_.size() >= max_parked_) {
+      exited_.push_back(std::move(worker->thread));
+      std::erase_if(workers_, [worker](const std::unique_ptr<Worker>& w) {
+        return w.get() == worker;
+      });
+      return;
+    }
+    parked_.push_back(worker);
+    worker->wake.wait(lock, [&] { return worker->task || shutdown_; });
+    if (!worker->task) return;  // shut down while parked
+    task = std::move(worker->task);
+    worker->task = nullptr;
+  }
+}
+
+void ActiveServer::MethodThreads::Shutdown() {
+  std::vector<std::unique_ptr<Worker>> workers;
+  std::vector<std::thread> exited;
   {
     std::scoped_lock lock(mu_);
     shutdown_ = true;
-    to_join.swap(threads_);
+    parked_.clear();
+    for (const auto& worker : workers_) worker->wake.notify_one();
+    workers.swap(workers_);
+    exited.swap(exited_);
   }
-  for (auto& [id, t] : to_join) {
-    if (t.joinable()) t.join();
-  }
+  for (const auto& worker : workers) worker->thread.join();
+  for (std::thread& t : exited) t.join();
 }
 
 ActiveServer::~ActiveServer() { Stop(); }
@@ -481,7 +548,7 @@ void ActiveServer::Stop() {
   watchdog_cv_.notify_all();
   if (watchdog_.joinable()) watchdog_.join();
   streams_.AbortAll();
-  if (action_pool_) action_pool_->Shutdown();
+  method_threads_.Shutdown();
   // With the methods joined, nothing touches the internal client or the
   // action objects any more. Release both: connections held by the client
   // (and, transitively, by retained action state) can reference active
@@ -496,14 +563,11 @@ void ActiveServer::Stop() {
 
 Status ActiveServer::Start(net::Transport& transport,
                            const std::string& metadata_address) {
-  // Everything handler threads read (the method runner, the internal store
-  // client) must be in place before Listen: the first RPC can arrive on a
-  // listener thread with no synchronization edge back to this one.
-  action_pool_ = std::make_unique<MethodRunner>();
-
   // The store client actions use to reach other nodes, over the
-  // storage-internal link. Connects to the metadata server, so it does not
-  // depend on our own listener being up.
+  // storage-internal link. Built before Listen: the first RPC can arrive on
+  // a listener thread with no synchronization edge back to this one. It
+  // connects to the metadata server, so it does not depend on our own
+  // listener being up.
   nk::StoreClient::Options copts;
   copts.transport = &transport;
   copts.metadata_address = metadata_address;
@@ -547,6 +611,15 @@ void ActiveServer::WatchdogLoop() {
   const std::uint64_t threshold_us = static_cast<std::uint64_t>(
       options_.stall_multiple *
       static_cast<double>(options_.interleave_quantum.count()) * 1000.0);
+  // Per slot: the run and progress count last seen, and the method
+  // thread's CPU clock when they were first seen at those values.
+  struct Base {
+    std::uint64_t run_start_us = 0;
+    std::uint64_t progress = 0;
+    std::uint64_t cpu_us = 0;
+    bool flagged = false;  // one warning per stall episode
+  };
+  std::vector<Base> bases(slots_.size());
   std::unique_lock lock(watchdog_mu_);
   while (!watchdog_stop_) {
     watchdog_cv_.wait_for(lock, options_.watchdog_interval,
@@ -557,20 +630,25 @@ void ActiveServer::WatchdogLoop() {
       const std::uint64_t run_start =
           run.run_start_us.load(std::memory_order_acquire);
       if (run_start == 0) continue;  // idle
-      if (run.flagged.load(std::memory_order_relaxed)) continue;
-      // CPU burnt by the method thread since it last touched a channel. A
-      // clock_gettime failure means the thread already exited — skip.
+      // A clock_gettime failure means the thread already exited — skip.
       timespec ts{};
       const clockid_t clock = run.cpu_clock.load(std::memory_order_relaxed);
       if (::clock_gettime(clock, &ts) != 0) continue;
       const std::uint64_t cpu_now =
           static_cast<std::uint64_t>(ts.tv_sec) * 1000000ull +
           static_cast<std::uint64_t>(ts.tv_nsec) / 1000u;
-      const std::uint64_t cpu_base =
-          run.cpu_at_progress_us.load(std::memory_order_relaxed);
-      if (cpu_now <= cpu_base || cpu_now - cpu_base <= threshold_us) continue;
-      const std::uint64_t stalled_us = cpu_now - cpu_base;
-      run.flagged.store(true, std::memory_order_relaxed);  // once per episode
+      const std::uint64_t progress =
+          run.progress.load(std::memory_order_relaxed);
+      Base& base = bases[slot->index];
+      if (base.run_start_us != run_start || base.progress != progress ||
+          cpu_now < base.cpu_us) {
+        base = Base{run_start, progress, cpu_now, false};
+        continue;
+      }
+      if (base.flagged || cpu_now - base.cpu_us <= threshold_us) continue;
+      // CPU burnt by the method thread since it last touched a channel.
+      const std::uint64_t stalled_us = cpu_now - base.cpu_us;
+      base.flagged = true;
       const char* method = run.method.load(std::memory_order_relaxed);
       total_stalls_->Increment();
       slot->stats.stalls->Increment();
@@ -636,209 +714,9 @@ Result<std::shared_ptr<ActiveServer::Slot>> ActiveServer::GetSlot(
   return slot;
 }
 
-void ActiveServer::DoActionCreate(ActionCreateRequest req,
-                                  net::Message request,
-                                  net::Responder responder) {
-  auto slot_result = GetSlot(req.slot, /*must_have_object=*/false);
-  if (!slot_result.ok()) {
-    return responder.SendError(request, slot_result.status());
-  }
-  auto slot = std::move(slot_result).value();
-  auto object = registry_->Create(req.action_type);
-  if (!object.ok()) return responder.SendError(request, object.status());
-
-  // Instantiate under the action's execution turn: onCreate is user code
-  // and follows the single-threaded model like any other method.
-  const MethodTrace mt = MethodTrace::Begin("onCreate");
-  const bool acct = obs::Enabled();
-  if (acct) {
-    slot->stats.invocations->Increment();
-    slot->stats.queue_depth->Add(1);
-    total_queue_depth_->Add(1);
-  }
-  const Status submitted = action_pool_->Submit(
-      [this, slot, mt, acct, req = std::move(req),
-       object = std::shared_ptr<Action>(std::move(object).value()),
-       request, responder]() mutable {
-        slot->monitor.Enter();
-        if (acct) {
-          slot->stats.queue_depth->Add(-1);
-          total_queue_depth_->Add(-1);
-        }
-        std::string profile_tag;
-        if (obs::SamplingProfiler::ActiveFast()) {
-          profile_tag = "slot" + std::to_string(slot->index) + ":" +
-                        req.action_type + ".onCreate";
-        }
-        obs::ProfileTagScope ptag(profile_tag.empty() ? nullptr
-                                                      : profile_tag.c_str());
-        MethodRunScope run_scope(&slot->run, "onCreate");
-        const std::uint64_t cpu_start = acct ? ThreadCpuMicros() : 0;
-        const std::uint64_t run_start = mt.EnterRun();
-        obs::TraceContextScope trace_scope(mt.RunContext());
-        obs::PrincipalScope principal_scope(mt.principal);
-        if (acct) obs::MethodSketch().Offer(req.action_type + ".onCreate");
-        if (slot->LiveObject() != nullptr) {
-          slot->monitor.Exit();
-          return responder.SendError(
-              request, Status::AlreadyExists("slot already holds an action"));
-        }
-        slot->interleave = req.interleave;
-        slot->action_type = req.action_type;
-        slot->config = std::move(req.config);
-        {
-          std::scoped_lock lock(slot->obj_mu);
-          slot->object = std::move(object);
-        }
-        ServerActionContext ctx(internal_client_.get(), slot->config.span());
-        try {
-          slot->object->onCreate(ctx);
-          slot->monitor.Exit();
-          mt.FinishRun(run_start);
-          if (acct) {
-            const std::uint64_t cpu = ThreadCpuMicros() - cpu_start;
-            slot->stats.cpu_us->Add(cpu);
-            mt.ChargeCpu(cpu);
-          }
-          responder.SendOk(request);
-        } catch (const std::exception& e) {
-          {
-            std::scoped_lock lock(slot->obj_mu);
-            slot->object.reset();
-          }
-          slot->monitor.Exit();
-          mt.FinishRun(run_start);
-          if (acct) {
-            const std::uint64_t cpu = ThreadCpuMicros() - cpu_start;
-            slot->stats.cpu_us->Add(cpu);
-            mt.ChargeCpu(cpu);
-          }
-          responder.SendError(request,
-                              Status::Internal(std::string("onCreate: ") +
-                                               e.what()));
-        }
-      });
-  if (!submitted.ok()) {
-    if (acct) {
-      slot->stats.queue_depth->Add(-1);
-      total_queue_depth_->Add(-1);
-    }
-    responder.SendError(request, submitted);
-  }
-}
-
-void ActiveServer::DoActionDelete(SlotRequest req, net::Message request,
-                                  net::Responder responder) {
-  auto slot_result = GetSlot(req.slot, /*must_have_object=*/true);
-  if (!slot_result.ok()) {
-    return responder.SendError(request, slot_result.status());
-  }
-  auto slot = std::move(slot_result).value();
-  const MethodTrace mt = MethodTrace::Begin("onDelete");
-  const bool acct = obs::Enabled();
-  if (acct) {
-    slot->stats.invocations->Increment();
-    slot->stats.queue_depth->Add(1);
-    total_queue_depth_->Add(1);
-  }
-  const Status submitted =
-      action_pool_->Submit([this, slot, mt, acct, request,
-                            responder]() mutable {
-        slot->monitor.Enter();
-        if (acct) {
-          slot->stats.queue_depth->Add(-1);
-          total_queue_depth_->Add(-1);
-        }
-        std::string profile_tag;
-        if (obs::SamplingProfiler::ActiveFast()) {
-          profile_tag = "slot" + std::to_string(slot->index) + ":" +
-                        slot->action_type + ".onDelete";
-        }
-        obs::ProfileTagScope ptag(profile_tag.empty() ? nullptr
-                                                      : profile_tag.c_str());
-        MethodRunScope run_scope(&slot->run, "onDelete");
-        const std::uint64_t cpu_start = acct ? ThreadCpuMicros() : 0;
-        const std::uint64_t run_start = mt.EnterRun();
-        obs::TraceContextScope trace_scope(mt.RunContext());
-        obs::PrincipalScope principal_scope(mt.principal);
-        if (acct) obs::MethodSketch().Offer(slot->action_type + ".onDelete");
-        std::shared_ptr<Action> object = slot->LiveObject();
-        if (object == nullptr) {
-          slot->monitor.Exit();
-          return responder.SendError(request,
-                                     Status::NotFound("slot already empty"));
-        }
-        ServerActionContext ctx(internal_client_.get(), slot->config.span());
-        try {
-          object->onDelete(ctx);
-        } catch (const std::exception& e) {
-          GLIDER_LOG(kWarn, "active") << "onDelete threw: " << e.what();
-        }
-        {
-          std::scoped_lock lock(slot->obj_mu);
-          slot->object.reset();
-        }
-        slot->monitor.Exit();
-        mt.FinishRun(run_start);
-        if (acct) {
-          const std::uint64_t cpu = ThreadCpuMicros() - cpu_start;
-          slot->stats.cpu_us->Add(cpu);
-          mt.ChargeCpu(cpu);
-        }
-        responder.SendOk(request);
-      });
-  if (!submitted.ok()) {
-    if (acct) {
-      slot->stats.queue_depth->Add(-1);
-      total_queue_depth_->Add(-1);
-    }
-    responder.SendError(request, submitted);
-  }
-}
-
-void ActiveServer::DoActionStat(SlotRequest req, net::Message request,
-                                net::Responder responder) {
-  auto slot_result = GetSlot(req.slot, /*must_have_object=*/true);
-  if (!slot_result.ok()) {
-    return responder.SendError(request, slot_result.status());
-  }
-  auto slot = std::move(slot_result).value();
-  const Status submitted =
-      action_pool_->Submit([slot, request, responder]() mutable {
-        slot->monitor.Enter();
-        ActionStatResponse resp;
-        if (auto object = slot->LiveObject()) {
-          resp.state_bytes = object->StateBytes();
-        }
-        slot->monitor.Exit();
-        responder.SendOk(request, resp.Encode());
-      });
-  if (!submitted.ok()) responder.SendError(request, submitted);
-}
-
-void ActiveServer::DoStreamOpen(StreamOpenRequest req, net::Message request,
-                                net::Responder responder) {
-  auto slot_result = GetSlot(req.slot, /*must_have_object=*/true);
-  if (!slot_result.ok()) {
-    return responder.SendError(request, slot_result.status());
-  }
-  auto slot = std::move(slot_result).value();
-
-  const std::uint64_t id = next_stream_id_.fetch_add(1);
-  auto stream = std::make_shared<Stream>(id, req.slot, req.mode,
-                                         options_.channel_capacity);
-  streams_.Insert(id, stream);
-  RunMethod(std::move(slot), stream);
-
-  StreamOpenResponse resp;
-  resp.stream_id = id;
-  responder.SendOk(request, resp.Encode());
-}
-
-void ActiveServer::RunMethod(std::shared_ptr<Slot> slot,
-                             std::shared_ptr<Stream> stream) {
-  const MethodTrace mt = MethodTrace::Begin(
-      stream->mode == StreamMode::kWrite ? "onWrite" : "onRead");
+Status ActiveServer::RunOnSlot(std::shared_ptr<Slot> slot, const char* method,
+                               std::string type, MethodBody body) {
+  const MethodTrace mt = MethodTrace::Begin(method);
   // `acct` is captured so the increment/decrement pair stays balanced even
   // if observability is toggled while the method is queued.
   const bool acct = obs::Enabled();
@@ -847,97 +725,201 @@ void ActiveServer::RunMethod(std::shared_ptr<Slot> slot,
     slot->stats.queue_depth->Add(1);
     total_queue_depth_->Add(1);
   }
-  const Status submitted = action_pool_->Submit([this, slot, stream, mt,
-                                                 acct] {
-    const char* method_name =
-        stream->mode == StreamMode::kWrite ? "onWrite" : "onRead";
-    ActionMonitor* monitor = &slot->monitor;
-    ActionMonitor* yield = slot->interleave ? monitor : nullptr;
-    monitor->Enter();
-    if (acct) {
-      slot->stats.queue_depth->Add(-1);
-      total_queue_depth_->Add(-1);
-    }
-    // Attribution tag for the profiler: every CPU sample taken on this
-    // thread while the method runs lands under the slot it is serving.
-    // Built only when the profiler is on (string concat on the hot path).
-    std::string profile_tag;
-    if (obs::SamplingProfiler::ActiveFast()) {
-      profile_tag = "slot" + std::to_string(slot->index) + ":" +
-                    slot->action_type + "." + method_name;
-    }
-    obs::ProfileTagScope ptag(profile_tag.empty() ? nullptr
-                                                  : profile_tag.c_str());
-    MethodRunScope run_scope(&slot->run, method_name);
-    const std::uint64_t cpu_start = acct ? ThreadCpuMicros() : 0;
-    const std::uint64_t run_start = mt.EnterRun();
-    // Methods issue store RPCs and block on channels; parent all of that
-    // under the method's run span (RunContext pre-allocates its id).
-    obs::TraceContextScope trace_scope(mt.RunContext());
-    // Same hop for the principal: store RPCs and channel traffic issued by
-    // the method bill to the tenant that opened the stream.
-    obs::PrincipalScope principal_scope(mt.principal);
-    if (acct) {
-      obs::MethodSketch().Offer(slot->action_type + "." + method_name);
-    }
-    ServerActionContext ctx(internal_client_.get(), slot->config.span());
-    std::shared_ptr<Action> object = slot->LiveObject();
-    if (stream->mode == StreamMode::kWrite) {
-      ChannelInputStream in(&stream->channel, yield, &slot->run);
-      try {
-        if (object != nullptr) object->onWrite(in, ctx);
-      } catch (const std::exception& e) {
-        GLIDER_LOG(kWarn, "active") << "onWrite threw: " << e.what();
-      }
-      monitor->Exit();
-      mt.FinishRun(run_start);
-      if (acct) {
-        const std::uint64_t cpu = ThreadCpuMicros() - cpu_start;
-        slot->stats.cpu_us->Add(cpu);
-        mt.ChargeCpu(cpu);
-      }
-      // The method may return before consuming the whole stream; drain so
-      // pipelined client writes still get acknowledged, then complete the
-      // client's close. Must go through `in`, not the channel directly: the
-      // input stream may hold batch-drained tasks (eos included) in its
-      // local stash.
-      in.DrainUntilEos();
-      net::Responder close_responder;
-      net::Message close_request;
-      {
-        std::scoped_lock lock(stream->close_mu);
-        stream->method_done = true;
-        close_responder = std::move(stream->close_responder);
-        close_request = stream->close_request;
-      }
-      if (close_responder.valid()) {
-        close_responder.SendOk(close_request);
-      }
-    } else {
-      ChannelOutputStream out(&stream->channel, yield, &slot->run);
-      try {
-        if (object != nullptr) object->onRead(out, ctx);
-      } catch (const std::exception& e) {
-        GLIDER_LOG(kWarn, "active") << "onRead threw: " << e.what();
-      }
-      monitor->Exit();
-      mt.FinishRun(run_start);
-      if (acct) {
-        const std::uint64_t cpu = ThreadCpuMicros() - cpu_start;
-        slot->stats.cpu_us->Add(cpu);
-        mt.ChargeCpu(cpu);
-      }
-      out.Close();  // idempotent: signals end-of-stream to the reader
-      std::scoped_lock lock(stream->close_mu);
-      stream->method_done = true;
-    }
-  });
+  const Status submitted = method_threads_.Submit(
+      [this, slot, method, type = std::move(type), mt, acct,
+       body = std::move(body)] {
+        slot->monitor.Enter();
+        if (acct) {
+          slot->stats.queue_depth->Add(-1);
+          total_queue_depth_->Add(-1);
+        }
+        const std::string& action_type =
+            type.empty() ? slot->action_type : type;
+        // Attribution tag for the profiler: every CPU sample taken on this
+        // thread while the method runs lands under the slot it is serving.
+        // Built only when the profiler is on (string concat on the hot path).
+        std::string profile_tag;
+        if (obs::SamplingProfiler::ActiveFast()) {
+          profile_tag = "slot" + std::to_string(slot->index) + ":" +
+                        action_type + "." + method;
+        }
+        obs::ProfileTagScope ptag(profile_tag.empty() ? nullptr
+                                                      : profile_tag.c_str());
+        MethodTurn turn(*slot, method, mt, acct);
+        // Methods issue store RPCs and block on channels; parent all of that
+        // under the method's run span (RunContext pre-allocates its id).
+        obs::TraceContextScope trace_scope(mt.RunContext());
+        // Same hop for the principal: store RPCs and channel traffic issued
+        // by the method bill to the tenant that called it.
+        obs::PrincipalScope principal_scope(mt.principal);
+        if (acct) obs::MethodSketch().Offer(action_type + "." + method);
+        body(turn);  // `turn` releases on scope exit if the body did not
+      });
+  if (!submitted.ok() && acct) {
+    slot->stats.queue_depth->Add(-1);
+    total_queue_depth_->Add(-1);
+  }
+  return submitted;
+}
+
+void ActiveServer::DoActionCreate(ActionCreateRequest req,
+                                  net::Message request,
+                                  net::Responder responder) {
+  auto slot = GetSlot(req.slot, /*must_have_object=*/false);
+  if (!slot.ok()) return responder.SendError(request, slot.status());
+  auto object = registry_->Create(req.action_type);
+  if (!object.ok()) return responder.SendError(request, object.status());
+
+  // Instantiate under the action's execution turn: onCreate is user code
+  // and follows the single-threaded model like any other method.
+  std::string type = req.action_type;
+  const Status submitted = RunOnSlot(
+      std::move(slot).value(), "onCreate", std::move(type),
+      [this, req = std::move(req),
+       object = std::shared_ptr<Action>(std::move(object).value()), request,
+       responder](MethodTurn& turn) mutable {
+        Slot& slot = turn.slot();
+        if (slot.LiveObject() != nullptr) {
+          turn.Release();
+          return responder.SendError(
+              request, Status::AlreadyExists("slot already holds an action"));
+        }
+        slot.interleave = req.interleave;
+        slot.action_type = req.action_type;
+        slot.config = std::move(req.config);
+        {
+          std::scoped_lock lock(slot.obj_mu);
+          slot.object = object;
+        }
+        ServerActionContext ctx(internal_client_.get(), slot.config.span());
+        Status status;
+        try {
+          object->onCreate(ctx);
+        } catch (const std::exception& e) {
+          std::scoped_lock lock(slot.obj_mu);
+          slot.object.reset();
+          status = Status::Internal(std::string("onCreate: ") + e.what());
+        }
+        turn.Release();
+        if (status.ok()) {
+          responder.SendOk(request);
+        } else {
+          responder.SendError(request, status);
+        }
+      });
+  if (!submitted.ok()) responder.SendError(request, submitted);
+}
+
+void ActiveServer::DoActionDelete(SlotRequest req, net::Message request,
+                                  net::Responder responder) {
+  auto slot = GetSlot(req.slot, /*must_have_object=*/true);
+  if (!slot.ok()) return responder.SendError(request, slot.status());
+  const Status submitted = RunOnSlot(
+      std::move(slot).value(), "onDelete", {},
+      [this, request, responder](MethodTurn& turn) mutable {
+        Slot& slot = turn.slot();
+        std::shared_ptr<Action> object = slot.LiveObject();
+        if (object == nullptr) {
+          turn.Release();
+          return responder.SendError(request,
+                                     Status::NotFound("slot already empty"));
+        }
+        ServerActionContext ctx(internal_client_.get(), slot.config.span());
+        try {
+          object->onDelete(ctx);
+        } catch (const std::exception& e) {
+          GLIDER_LOG(kWarn, "active") << "onDelete threw: " << e.what();
+        }
+        {
+          std::scoped_lock lock(slot.obj_mu);
+          slot.object.reset();
+        }
+        turn.Release();
+        responder.SendOk(request);
+      });
+  if (!submitted.ok()) responder.SendError(request, submitted);
+}
+
+void ActiveServer::DoActionStat(SlotRequest req, net::Message request,
+                                net::Responder responder) {
+  auto slot = GetSlot(req.slot, /*must_have_object=*/true);
+  if (!slot.ok()) return responder.SendError(request, slot.status());
+  const Status submitted = RunOnSlot(
+      std::move(slot).value(), "StateBytes", {},
+      [request, responder](MethodTurn& turn) mutable {
+        ActionStatResponse resp;
+        if (auto object = turn.slot().LiveObject()) {
+          resp.state_bytes = object->StateBytes();
+        }
+        turn.Release();
+        responder.SendOk(request, resp.Encode());
+      });
+  if (!submitted.ok()) responder.SendError(request, submitted);
+}
+
+void ActiveServer::DoStreamOpen(StreamOpenRequest req, net::Message request,
+                                net::Responder responder) {
+  auto slot = GetSlot(req.slot, /*must_have_object=*/true);
+  if (!slot.ok()) return responder.SendError(request, slot.status());
+
+  const std::uint64_t id = next_stream_id_.fetch_add(1);
+  auto stream = std::make_shared<Stream>(id, req.slot, req.mode,
+                                         options_.channel_capacity);
+  streams_.Insert(id, stream);
+  RunStreamMethod(std::move(slot).value(), stream);
+
+  StreamOpenResponse resp;
+  resp.stream_id = id;
+  responder.SendOk(request, resp.Encode());
+}
+
+void ActiveServer::RunStreamMethod(std::shared_ptr<Slot> slot,
+                                   std::shared_ptr<Stream> stream) {
+  const bool write = stream->mode == StreamMode::kWrite;
+  const Status submitted = RunOnSlot(
+      std::move(slot), write ? "onWrite" : "onRead", {},
+      [this, stream, write](MethodTurn& turn) {
+        Slot& slot = turn.slot();
+        ServerActionContext ctx(internal_client_.get(), slot.config.span());
+        std::shared_ptr<Action> object = slot.LiveObject();
+        if (write) {
+          ChannelInputStream in(&stream->channel, turn.yield(), &slot.run);
+          try {
+            if (object != nullptr) object->onWrite(in, ctx);
+          } catch (const std::exception& e) {
+            GLIDER_LOG(kWarn, "active") << "onWrite threw: " << e.what();
+          }
+          turn.Release();
+          // The method may return before consuming the whole stream; drain
+          // so pipelined client writes still get acknowledged, then complete
+          // the client's close. Must go through `in`, not the channel
+          // directly: the input stream may hold batch-drained tasks (eos
+          // included) in its local stash.
+          in.DrainUntilEos();
+          net::Responder close_responder;
+          net::Message close_request;
+          {
+            std::scoped_lock lock(stream->close_mu);
+            stream->method_done = true;
+            close_responder = std::move(stream->close_responder);
+            close_request = stream->close_request;
+          }
+          if (close_responder.valid()) close_responder.SendOk(close_request);
+        } else {
+          ChannelOutputStream out(&stream->channel, turn.yield(), &slot.run);
+          try {
+            if (object != nullptr) object->onRead(out, ctx);
+          } catch (const std::exception& e) {
+            GLIDER_LOG(kWarn, "active") << "onRead threw: " << e.what();
+          }
+          turn.Release();
+          out.Close();  // idempotent: signals end-of-stream to the reader
+          std::scoped_lock lock(stream->close_mu);
+          stream->method_done = true;
+        }
+      });
   if (!submitted.ok()) {
-    if (acct) {
-      slot->stats.queue_depth->Add(-1);
-      total_queue_depth_->Add(-1);
-    }
-    GLIDER_LOG(kWarn, "active") << "action pool rejected method";
+    GLIDER_LOG(kWarn, "active") << "method rejected: " << submitted.ToString();
     stream->channel.Abort();
   }
 }

@@ -8,9 +8,10 @@
 // Execution follows the paper's decoupling of network work from action work:
 //   * network workers (the transport's handler pool) decode stream
 //     operations and move them onto per-stream channels — never blocking;
-//   * action threads (one per running method, reaped as methods finish)
-//     consume the channels by running action methods, one method at a time
-//     per action (ActionMonitor), with optional interleaving.
+//   * method threads consume the channels by running action methods, one
+//     method at a time per action (ActionMonitor), with optional
+//     interleaving. A finished method's thread parks for the next method
+//     instead of exiting; see MethodThreads.
 //
 // Locking is per-object so concurrent streams to different actions never
 // contend: the slot vector is preallocated and immutable, each slot guards
@@ -23,6 +24,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -31,7 +33,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "glider/action.h"
 #include "glider/protocol.h"
 #include "glider/stream_channel.h"
@@ -44,18 +45,12 @@ class ActiveServer : public net::ServiceRouter,
                      public std::enable_shared_from_this<ActiveServer> {
  public:
   struct Options {
+    // Also caps the method threads kept parked for reuse.
     std::uint32_t num_slots = 16;
     // Nominal slot capacity registered with the metadata server; a resource
     // management knob (paper: "the size of an active server and the number
     // of slots it registers determine the capacity ... of its actions").
     std::uint64_t slot_bytes = 64ull << 20;
-    // Hint for the nominal action-thread capacity registered with resource
-    // management. Execution itself is one dedicated thread per running
-    // method: methods are long-lived and may open streams to *other*
-    // actions (e.g. the genomics sampler feeding the manager), which a
-    // fixed pool can deadlock on when every pool thread blocks waiting for
-    // a method that cannot be scheduled.
-    std::size_t num_action_threads = 4;
     std::size_t channel_capacity = 8;  // in-flight ops buffered per stream
     std::string preferred_address;
     // Link class for the server's internal store client (actions reaching
@@ -84,7 +79,8 @@ class ActiveServer : public net::ServiceRouter,
   // internal store client handed to actions.
   Status Start(net::Transport& transport, const std::string& metadata_address);
 
-  // Stops accepting requests and joins every action-method thread.
+  // Stops accepting requests and joins every method thread, parked or
+  // running.
   // Idempotent. Owners must call this (directly or via the destructor of
   // the last external reference being unreachable — the transport's
   // listener entry holds a shared_ptr back to the service, so the server
@@ -100,6 +96,11 @@ class ActiveServer : public net::ServiceRouter,
  private:
   struct Slot;
   struct Stream;
+  class MethodTurn;
+  // A method body: runs on a method thread holding its slot's turn, and
+  // calls turn.Release() before any work that must follow the turn (the
+  // reply, draining the rest of a stream).
+  using MethodBody = std::function<void(MethodTurn& turn)>;
 
   void DoActionCreate(ActionCreateRequest req, net::Message request,
                       net::Responder responder);
@@ -121,8 +122,18 @@ class ActiveServer : public net::ServiceRouter,
   Result<std::shared_ptr<Slot>> GetSlot(std::uint32_t index,
                                         bool must_have_object);
 
-  // Runs one stream's action method on the action pool.
-  void RunMethod(std::shared_ptr<Slot> slot, std::shared_ptr<Stream> stream);
+  // The one path every action method takes: queue-depth accounting, a
+  // method thread, the slot's turn, the profile tag, watchdog mark, trace
+  // and principal scopes, then `body`; the run span and CPU charge follow
+  // once the body releases the turn. `type` names the action in the
+  // profile tag and method sketch; empty means the slot's current type.
+  // A non-OK return means the method never ran (server shutting down).
+  Status RunOnSlot(std::shared_ptr<Slot> slot, const char* method,
+                   std::string type, MethodBody body);
+
+  // Runs one stream's action method (onWrite / onRead).
+  void RunStreamMethod(std::shared_ptr<Slot> slot,
+                       std::shared_ptr<Stream> stream);
 
   // Slot-stall watchdog body: scans slots every watchdog_interval and flags
   // methods that exceeded the CPU budget without yielding.
@@ -132,20 +143,33 @@ class ActiveServer : public net::ServiceRouter,
   std::shared_ptr<ActionRegistry> registry_;
   std::shared_ptr<Metrics> metrics_;
 
-  // Spawns one tracked thread per action-method execution. Threads report
-  // completion so later Submits reap (join) them incrementally instead of
-  // accumulating one joinable thread per method until shutdown.
-  class MethodRunner {
+  // Threads that run action methods. A method may block as long as its
+  // stream stays open, including on a method of *another* action (the
+  // genomics sampler feeding the manager), so a fixed pool could deadlock
+  // with every thread waiting on a method that cannot be scheduled. Submit
+  // therefore never waits: it hands the task to a parked thread, or starts
+  // a new one ("active.method_threads_spawned"). A thread whose method
+  // finished parks again while fewer than `max_parked` threads are parked;
+  // otherwise it exits, and the next thread start or Shutdown joins it.
+  class MethodThreads {
    public:
-    ~MethodRunner() { Shutdown(); }
+    explicit MethodThreads(std::size_t max_parked);
+    ~MethodThreads();
     Status Submit(std::function<void()> task);
+    // Refuses further tasks, wakes parked threads, and joins every thread
+    // once its running method has returned. Idempotent.
     void Shutdown();
 
    private:
+    struct Worker;
+    void Loop(Worker* worker, std::function<void()> task);
+
+    const std::size_t max_parked_;
+    obs::Counter* spawned_;
     std::mutex mu_;
-    std::uint64_t next_id_ = 0;
-    std::map<std::uint64_t, std::thread> threads_;
-    std::vector<std::uint64_t> finished_;  // ids whose bodies completed
+    std::vector<std::unique_ptr<Worker>> workers_;  // every running thread
+    std::vector<Worker*> parked_;       // idle; the most recent is reused
+    std::vector<std::thread> exited_;   // left over the cap, not yet joined
     bool shutdown_ = false;
   };
 
@@ -178,7 +202,7 @@ class ActiveServer : public net::ServiceRouter,
   std::unique_ptr<net::Listener> listener_;
   std::string address_;
   std::unique_ptr<nk::StoreClient> internal_client_;
-  std::unique_ptr<MethodRunner> action_pool_;
+  MethodThreads method_threads_;
 
   // Preallocated at construction, immutable afterwards: slot lookup takes
   // no lock. Per-slot state is guarded inside Slot.
@@ -187,7 +211,7 @@ class ActiveServer : public net::ServiceRouter,
   std::atomic<std::uint64_t> next_stream_id_{1};
 
   // Server-wide action queue depth ("active.queue_depth"): methods
-  // submitted to the action pool but not yet admitted by their slot's
+  // submitted to a method thread but not yet admitted by their slot's
   // monitor. Updated alongside the per-slot gauges.
   obs::Gauge* total_queue_depth_ = nullptr;
 

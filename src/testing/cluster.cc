@@ -65,7 +65,6 @@ Status MiniCluster::Boot() {
   for (std::size_t i = 0; i < options_.active_servers; ++i) {
     core::ActiveServer::Options aopts;
     aopts.num_slots = options_.slots_per_server;
-    aopts.num_action_threads = options_.action_threads;
     aopts.channel_capacity = options_.channel_capacity;
     aopts.internal_link_class = options_.internal_link_class;
     aopts.internal_link_bps = options_.internal_bandwidth_bps;

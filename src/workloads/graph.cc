@@ -143,11 +143,6 @@ Result<testing::ClusterOptions> ClusterOptionsFromSpec(
       auto slots, section.GetIntOr("slots_per_server", o.slots_per_server));
   o.slots_per_server = static_cast<std::uint32_t>(slots);
   GLIDER_ASSIGN_OR_RETURN(
-      auto action_threads,
-      section.GetIntOr("action_threads",
-                       static_cast<long long>(o.action_threads)));
-  o.action_threads = static_cast<std::size_t>(action_threads);
-  GLIDER_ASSIGN_OR_RETURN(
       auto channel_capacity,
       section.GetIntOr("channel_capacity",
                        static_cast<long long>(o.channel_capacity)));

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/attribution.h"
+#include "common/event_journal.h"
 #include "common/metrics_registry.h"
 #include "common/prometheus.h"
 #include "common/trace.h"
@@ -145,6 +146,83 @@ LedgerEntry MakeEntry(const std::string& who, const std::string& op,
   e.cell.cpu_us = cpu;
   e.cell.invocations = 1;
   return e;
+}
+
+// Thread churn (one short-lived thread per task) must not grow the
+// per-thread observability registries: each exiting thread folds its ledger
+// cells, spans and events into a retired accumulator. Registry sizes stay
+// bounded by the threads alive, and snapshots still count every exited
+// thread's charges and spans.
+TEST(ResourceLedgerTest, ExitedThreadsFoldIntoRetiredState) {
+  auto& ledger = ResourceLedger::Global();
+  auto& recorder = obs::TraceRecorder::Global();
+  auto& journal = obs::EventJournal::Global();
+  ledger.Clear();
+  recorder.Clear();
+  journal.Clear();
+  const obs::PrincipalId who = PrincipalFromName("churn");
+  constexpr std::uint64_t kTraceId = 0xc4a7;
+  constexpr int kThreads = 10000;
+
+  const std::size_t shards_before = ResourceLedger::LiveShards();
+  const std::size_t buffers_before = obs::TraceRecorder::LiveBuffers();
+  const std::size_t rings_before = obs::EventJournal::LiveRings();
+  std::size_t peak_shards = 0, peak_buffers = 0, peak_rings = 0;
+  // One short thread at a time, so the peaks are read race-free.
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([&] {
+      LedgerCell cell;
+      cell.cpu_us = 3;
+      cell.invocations = 1;
+      ledger.Charge(who, "test.churn", cell);
+      obs::SpanRecord span;
+      span.name = "test.churn";
+      span.trace_id = kTraceId;
+      recorder.Record(std::move(span));
+      journal.Record(obs::EventType::kPoolExhausted, "churn");
+      peak_shards = std::max(peak_shards, ResourceLedger::LiveShards());
+      peak_buffers =
+          std::max(peak_buffers, obs::TraceRecorder::LiveBuffers());
+      peak_rings = std::max(peak_rings, obs::EventJournal::LiveRings());
+    }).join();
+  }
+
+  // Other tests' threads may still be exiting, so only upper bounds hold.
+  EXPECT_LE(peak_shards, shards_before + 1);
+  EXPECT_LE(peak_buffers, buffers_before + 1);
+  EXPECT_LE(peak_rings, rings_before + 1);
+  EXPECT_LE(ResourceLedger::LiveShards(), shards_before);
+  EXPECT_LE(obs::TraceRecorder::LiveBuffers(), buffers_before);
+  EXPECT_LE(obs::EventJournal::LiveRings(), rings_before);
+
+  LedgerCell total;
+  for (const LedgerEntry& entry : ledger.Snapshot()) {
+    if (entry.principal == who && entry.op == "test.churn") {
+      total.Merge(entry.cell);
+    }
+  }
+  EXPECT_EQ(total.cpu_us, 3u * kThreads);
+  EXPECT_EQ(total.invocations, static_cast<std::uint64_t>(kThreads));
+
+  std::size_t spans = 0;
+  for (const obs::SpanRecord& span : recorder.Snapshot()) {
+    if (span.trace_id == kTraceId) ++spans;
+  }
+  EXPECT_EQ(spans, static_cast<std::size_t>(kThreads));
+
+  // The journal is bounded by design: exited threads share one ring of
+  // kRingCapacity events, the rest count as overwritten.
+  std::size_t events = 0;
+  for (const obs::Event& event : journal.Snapshot()) {
+    if (event.scope == "churn") ++events;
+  }
+  EXPECT_EQ(events, obs::EventJournal::kRingCapacity);
+  EXPECT_EQ(journal.Overwritten(),
+            kThreads - obs::EventJournal::kRingCapacity);
+
+  ledger.Clear();
+  recorder.Clear();
+  journal.Clear();
 }
 
 TEST(ResourceLedgerTest, MergeIsExactAndAssociative) {

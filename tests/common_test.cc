@@ -1,6 +1,7 @@
 // Unit tests for the common substrate: Status/Result, serde, queues,
 // thread pool, rate limiter, metrics, generators' building blocks.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <future>
 #include <numeric>
@@ -13,6 +14,7 @@
 #include "common/random.h"
 #include "common/rate_limiter.h"
 #include "common/serde.h"
+#include "common/spin_park.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -468,6 +470,28 @@ TEST(ThreadPoolTest, SubmitAllPokesParkedPeersToSteal) {
 }
 
 // ---- RateLimiter ------------------------------------------------------------
+
+// A thread confined to one CPU (taskset, a cpuset, the benchmark's pinning)
+// must not spin, whatever the machine's core count: its awaited producer
+// cannot run until it yields the CPU.
+TEST(AdaptiveSpinTest, OneCpuAffinityDisablesSpinning) {
+  cpu_set_t original;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(original), &original), 0);
+  int cpu = 0;
+  while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &original)) ++cpu;
+  ASSERT_LT(cpu, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::uint32_t pinned_budget = AdaptiveSpin().budget();
+  ASSERT_EQ(::sched_setaffinity(0, sizeof(original), &original), 0);
+
+  EXPECT_EQ(pinned_budget, 0u);
+  if (CPU_COUNT(&original) > 1) {
+    EXPECT_GT(AdaptiveSpin().budget(), 0u);
+  }
+}
 
 TEST(RateLimiterTest, UnlimitedNeverBlocks) {
   RateLimiter limiter(0);

@@ -274,6 +274,50 @@ TEST(TraceAssemblerTest, OrphanForestGetsSyntheticRoot) {
   ASSERT_FALSE(trace.critical_path.empty());
 }
 
+// An action's run span starts under the stream open that submitted it and
+// runs on through the client's writes and close. On its parent's node the
+// clock is shared, so the run is not clamped into the open's window: the
+// time the method spends running during the close is charged to "run".
+TEST(TraceAssemblerTest, SameNodeRunOutlivingItsParentIsChargedToRun) {
+  constexpr std::uint64_t kTrace = 0x7e11;
+  TraceAssembler assembler;
+  assembler.AddSpans(
+      "client",
+      {MakeSpan("load.req", kTrace, 1, 0, 1000, 8000),
+       MakeSpan("rpc.StreamOpen", kTrace, 2, 1, 1100, 500),
+       MakeSpan("rpc.StreamClose", kTrace, 3, 1, 3000, 5800)},
+      0);
+  assembler.AddSpans(
+      "server",
+      {MakeSpan("handle.StreamOpen", kTrace, 4, 2, 1200, 300),
+       MakeSpan("action.onWrite.queue", kTrace, 5, 4, 1250, 50),
+       MakeSpan("action.onWrite.run", kTrace, 6, 4, 1300, 7200),
+       MakeSpan("handle.StreamClose", kTrace, 7, 3, 3100, 100)},
+      0);
+
+  auto traces = assembler.Assemble();
+  ASSERT_EQ(traces.size(), 1u);
+  const AssembledTrace& trace = traces[0];
+  ASSERT_EQ(trace.spans.size(), 7u);
+  EXPECT_EQ(trace.total_us, 8000u);
+  EXPECT_EQ(BucketSum(trace), trace.total_us);
+
+  const obs::AssembledSpan* run = nullptr;
+  for (const auto& span : trace.spans) {
+    if (span.span.name == "action.onWrite.run") run = &span;
+  }
+  ASSERT_NE(run, nullptr);
+  EXPECT_GT(run->clamp_end_us, trace.spans[run->parent].clamp_end_us);
+
+  // Deepest covering span: the run [1300, 8500) sits below every handle
+  // and rpc span, so it takes all of its own window.
+  EXPECT_EQ(trace.bucket_us.at("run"), 7200u);
+  EXPECT_EQ(trace.bucket_us.at("queue"), 50u);
+  EXPECT_EQ(trace.bucket_us.at("server"), 50u);
+  EXPECT_EQ(trace.bucket_us.at("net"), 400u);
+  EXPECT_EQ(trace.bucket_us.at("client"), 300u);
+}
+
 TEST(TraceAssemblerTest, BucketMapping) {
   EXPECT_STREQ(TraceAssembler::BucketFor("rpc.StreamWrite"), "net");
   EXPECT_STREQ(TraceAssembler::BucketFor("handle.Lookup"), "server");
