@@ -142,7 +142,7 @@ class BenchJsonWriter {
     }
     if (include_metrics_) {
       json += "},\"metrics\":";
-      json += obs::MetricsRegistry::Global().ToJson();
+      json += obs::ToJson(obs::MetricsRegistry::Global().Snapshot());
       json += "}\n";
     } else {
       json += "}}\n";

@@ -341,7 +341,7 @@ void WriteProfilerOverheadJson(const CapturingReporter& reporter) {
     first = false;
   }
   json += "},\"metrics\":";
-  json += obs::MetricsRegistry::Global().ToJson();
+  json += obs::ToJson(obs::MetricsRegistry::Global().Snapshot());
   json += "}\n";
   if (first) return;  // neither variant ran (e.g. --benchmark_filter)
   std::FILE* f = std::fopen("BENCH_profiler_overhead.json", "w");

@@ -237,7 +237,7 @@ trap - EXIT
 
 # Trace-assembly smoke: boots a 3-daemon deployment with span tracing on,
 # streams a traced workload through it, then assembles every server's
-# kTraceDump into cross-node traces. `glider_trace --check` fails unless at
+# trace sections into cross-node traces. `glider_trace --check` fails unless at
 # least one trace assembled, its critical path is non-empty, and every
 # trace's bucket sum lands within 5% of its end-to-end latency — the
 # clock-alignment + tree-rebuild invariants, checked against live daemons
@@ -382,6 +382,27 @@ attr_smoke() {
     || { echo "attr smoke: OpenMetrics /metrics missing # EOF terminator"; return 1; }
   echo "attr smoke: both tenants billed, $(grep -c '# {trace_id=' \
     "${smoke_dir}/metrics.txt") exemplar lines on /metrics (archived in ${smoke_dir})"
+
+  # Every glider_cli introspection verb answers the live daemons and exits
+  # 0; the verbs that print a server's JSON print valid JSON.
+  intro_cli() {  # intro_cli <json|text> <glider_cli args...>
+    local kind="$1"; shift
+    local out="${smoke_dir}/cli-$1.out"
+    "${build_dir}/tools/glider_cli" --metadata "${meta_addr}" "$@" >"${out}" \
+      || { echo "attr smoke: glider_cli $* failed"; return 1; }
+    if [[ "${kind}" == json ]]; then
+      python3 -m json.tool "${out}" >/dev/null \
+        || { echo "attr smoke: glider_cli $* printed invalid JSON"; head -c 400 "${out}"; return 1; }
+    fi
+  }
+  intro_cli json stats "${meta_addr}" || return 1
+  intro_cli text series "${meta_addr}" || return 1
+  intro_cli json trace-dump "${active_addr}" clear || return 1
+  intro_cli json slow-traces "${meta_addr}" || return 1
+  intro_cli json events "${active_addr}" clear || return 1
+  intro_cli json health "${meta_addr}" || return 1
+  intro_cli text cluster-stats || return 1
+  echo "attr smoke: every introspection verb answered"
   cleanup_attr
   trap - EXIT
 }

@@ -15,7 +15,7 @@
 //     (principal, op) recording cpu_us / queue_us / bytes_in / bytes_out /
 //     invocations. Charged at the existing dispatch sites (RPC dispatch,
 //     action run/queue accounting, storage block ops, stream-channel
-//     push/pop); snapshots merge the shards exactly, and kLedgerDump
+//     push/pop); snapshots merge the shards exactly, and the ledger section
 //     merges exactly across nodes (sums are associative).
 //
 //   * SpaceSavingTopK — bounded-memory heavy-hitter sketches (Metwally et
@@ -130,13 +130,13 @@ class ResourceLedger {
 };
 
 // Exact merge of two ledger snapshots (cells sum per (principal, op)):
-// the cluster-wide kLedgerDump merge.
+// the cluster-wide ledger merge.
 std::vector<LedgerEntry> MergeLedgerEntries(
     const std::vector<LedgerEntry>& a, const std::vector<LedgerEntry>& b);
 
 // Republishes per-principal rollups of the global ledger as gauges
 // ("ledger.<principal>.{cpu_us,queue_us,bytes_in,bytes_out,invocations}")
-// so kSeriesDump / Prometheus / glider_top see attribution without the
+// so the metrics section / Prometheus / glider_top see attribution without the
 // dedicated ledger opcode.
 void PublishLedgerRollups();
 
@@ -196,7 +196,7 @@ class SpaceSavingTopK {
 };
 
 // Process-global sketches fed by the charging sites and served by
-// kLedgerDump: object keys (metadata paths), action methods
+// ledger section: object keys (metadata paths), action methods
 // ("<type>.<method>"), and principals.
 SpaceSavingTopK& KeySketch();
 SpaceSavingTopK& MethodSketch();

@@ -51,7 +51,7 @@ class EventJournal {
   // Events retained per thread ring; beyond it the oldest are overwritten.
   static constexpr std::size_t kRingCapacity = 256;
 
-  // The process journal dumped by kEventDump / `glider_cli events`.
+  // The process journal dumped by the events section / `glider_cli events`.
   static EventJournal& Global();
 
   EventJournal() = default;

@@ -26,7 +26,7 @@
 // the EventJournal (kPeerAlive/kPeerSuspect/kPeerDead).
 //
 // Heartbeats come from two sources: the ClusterMonitor/HealthMonitor poll
-// loops call Heartbeat() on every successful kSeriesDump/kHeartbeat reply,
+// loops call Heartbeat() on every successful metrics-section/kHeartbeat reply,
 // and the dedicated kHeartbeat opcode keeps otherwise idle links observed.
 #pragma once
 
@@ -128,7 +128,7 @@ class HealthDetector {
 };
 
 // Latest health board of this process, published by whichever monitor loop
-// runs here (glider_daemon's HealthMonitor) and served by kHealthDump so
+// runs here (glider_daemon's HealthMonitor) and served by the health section so
 // any node can answer `glider_cli health`. Decoupled from the detector:
 // the board is a plain snapshot store, so dump handlers never touch
 // detector locks.

@@ -64,32 +64,31 @@ void AppendEscaped(std::string& out, const std::string& s) {
 
 }  // namespace
 
-std::string MetricsRegistry::ToJson() const {
-  std::scoped_lock lock(mu_);
+std::string ToJson(const MetricsSnapshot& snapshot) {
   std::string out = "{\"counters\":{";
   bool first = true;
   char buf[160];
-  for (const auto& [name, c] : counters_) {
+  for (const auto& [name, value] : snapshot.counters) {
     if (!first) out.push_back(',');
     first = false;
     out.push_back('"');
     AppendEscaped(out, name);
-    std::snprintf(buf, sizeof(buf), "\":%" PRIu64, c->value());
+    std::snprintf(buf, sizeof(buf), "\":%" PRIu64, value);
     out += buf;
   }
   out += "},\"gauges\":{";
   first = true;
-  for (const auto& [name, g] : gauges_) {
+  for (const auto& [name, value] : snapshot.gauges) {
     if (!first) out.push_back(',');
     first = false;
     out.push_back('"');
     AppendEscaped(out, name);
-    std::snprintf(buf, sizeof(buf), "\":%" PRId64, g->value());
+    std::snprintf(buf, sizeof(buf), "\":%" PRId64, value);
     out += buf;
   }
   out += "},\"histograms\":{";
   first = true;
-  for (const auto& [name, h] : histograms_) {
+  for (const auto& [name, h] : snapshot.histograms) {
     if (!first) out.push_back(',');
     first = false;
     out.push_back('"');
@@ -99,8 +98,8 @@ std::string MetricsRegistry::ToJson() const {
                   ",\"mean\":%.3f,\"min\":%" PRIu64 ",\"max\":%" PRIu64
                   ",\"p50\":%" PRIu64 ",\"p95\":%" PRIu64 ",\"p99\":%" PRIu64
                   "}",
-                  h->Count(), h->Sum(), h->Mean(), h->Min(), h->Max(),
-                  h->Percentile(50), h->Percentile(95), h->Percentile(99));
+                  h.count, h.sum, h.Mean(), h.min, h.max, h.Percentile(50),
+                  h.Percentile(95), h.Percentile(99));
     out += buf;
   }
   out += "}}";

@@ -211,8 +211,8 @@ class LatencyHistogram {
 };
 
 // Point-in-time copy of one histogram: the log2 bucket counts plus the
-// aggregates. Value type — snapshots travel across the wire (kSeriesDump),
-// merge across servers (ClusterMonitor) and subtract across time
+// aggregates. Value type — snapshots travel across the wire (the metrics
+// section), merge across servers (ClusterMonitor) and subtract across time
 // (TimeSeriesSampler windows).
 struct HistogramSnapshot {
   std::array<std::uint64_t, LatencyHistogram::kNumBuckets> buckets{};
@@ -258,6 +258,12 @@ struct MetricsSnapshot {
   const std::int64_t* FindGauge(const std::string& name) const;
 };
 
+// JSON object: {"counters":{...},"gauges":{...},"histograms":{name:
+// {count,sum,mean,min,max,p50,p95,p99}}}. The one metrics renderer: local
+// callers pass MetricsRegistry::Snapshot(), `glider_cli stats` the snapshot
+// a server sent.
+std::string ToJson(const MetricsSnapshot& snapshot);
+
 class MetricsRegistry {
  public:
   static MetricsRegistry& Global();
@@ -272,10 +278,6 @@ class MetricsRegistry {
   // ("link.faas.bytes_sent", ... — see DESIGN.md "Observability") so one
   // JSON export covers the paper indicators too.
   void MirrorLinkCounters(const Metrics& metrics);
-
-  // JSON object: {"counters":{...},"gauges":{...},"histograms":{name:
-  // {count,sum,mean,min,max,p50,p95,p99}}}.
-  std::string ToJson() const;
 
   // Copies every instrument under the registry mutex. Because ResetAll()
   // zeroes under the same mutex, a snapshot observes either all-pre-reset

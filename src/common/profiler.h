@@ -25,7 +25,7 @@
 //
 // Export is Brendan-Gregg collapsed-stack text ("tag;frame;frame N"), one
 // line per unique stack — pipe through flamegraph.pl for an SVG. Reachable
-// via kProfileDump on every server, `glider_cli profile`, daemon
+// via the profile section on every server, `glider_cli profile`, daemon
 // --profile/--profile-hz, and MiniCluster's profile_hz option.
 //
 // Signal-safety rules (everything the handler touches):

@@ -67,7 +67,7 @@ std::string HelpText(const std::string& name) {
 
 // OpenMetrics exemplar suffix for a bucket sample line:
 // ` # {trace_id="<hex>"} <value>`. Trace ids render like the trace JSON
-// (%PRIx64, no zero padding) so they grep/resolve against kTraceDump.
+// (%PRIx64, no zero padding) so they grep/resolve against the trace section.
 // Only legal in the OpenMetrics format — the classic 0.0.4 parser errors
 // on the suffix, so the classic renderer never calls this.
 std::string ExemplarSuffix(std::uint64_t trace_id, std::uint64_t value) {

@@ -10,9 +10,10 @@
 //   <hist>.rate          count delta / dt              (events per second)
 //   <hist>.p50 / .p99    nearest-rank percentile of the *window's* records
 //
-// so a scraper (kSeriesDump, glider_top) sees rates and rolling percentiles
-// instead of since-boot aggregates. Rings are bounded (default: 120 samples
-// = 2 minutes at the 1 s default cadence); old samples fall off the back.
+// so a scraper (the metrics section, glider_top) sees rates and rolling
+// percentiles instead of since-boot aggregates. Rings are bounded
+// (default: 120 samples = 2 minutes at the 1 s default cadence); old
+// samples fall off the back.
 //
 // Reset interaction: MetricsRegistry::ResetAll() bumps the registry
 // generation under the registry mutex, and Snapshot() captures values and
@@ -81,7 +82,7 @@ class TimeSeries {
   std::vector<Sample> samples_;
 };
 
-// One named series, as exported by kSeriesDump.
+// One named series, as exported by the metrics section.
 struct SeriesData {
   std::string name;
   std::vector<TimeSeries::Sample> samples;
@@ -94,8 +95,8 @@ class TimeSeriesSampler {
     std::size_t ring_capacity = 120;
   };
 
-  // The process-wide sampler (the one kSeriesDump exports). Servers share
-  // one registry per process, so they share one sampler too.
+  // The process-wide sampler (the one the metrics section exports). Servers
+  // share one registry per process, so they share one sampler too.
   static TimeSeriesSampler& Global();
 
   explicit TimeSeriesSampler(MetricsRegistry& registry = MetricsRegistry::Global())

@@ -22,9 +22,9 @@
 // exceeds an adaptive per-op threshold — max(min_threshold, multiplier x
 // the op's live p99, computed from a private per-root-name histogram) —
 // the whole span tree is copied out of the TraceRecorder into a bounded
-// ring, dumpable via kSlowTraceDump / `glider_cli slow-traces`. The p99 an
-// op is judged against excludes the op itself, so the very first samples
-// are judged against min_threshold alone.
+// ring, dumpable via the slow_traces section / `glider_cli slow-traces`.
+// The p99 an op is judged against excludes the op itself, so the very first
+// samples are judged against min_threshold alone.
 #pragma once
 
 #include <cstdint>
@@ -131,7 +131,8 @@ class SlowTraceStore {
     std::vector<SpanRecord> spans;   // the rest of the tree (root excluded)
   };
 
-  // The store fed by Span::End in this process (kSlowTraceDump's source).
+  // The store fed by Span::End in this process (the slow_traces section's
+  // source).
   static SlowTraceStore& Global();
 
   SlowTraceStore() = default;

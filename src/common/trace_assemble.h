@@ -1,7 +1,7 @@
 // Cross-node trace assembly (DESIGN.md §11 "Cross-node trace assembly &
 // attribution").
 //
-// Every server answers kTraceDump with its own spans on its own clock
+// Every server answers the trace section with its own spans on its own clock
 // (TraceNowMicros = steady microseconds since *that process* started), so
 // per-node dumps are islands: ids link up across processes (the frame
 // header carries trace_id/span_id) but timestamps do not. This library

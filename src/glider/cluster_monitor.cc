@@ -36,28 +36,58 @@ Result<nk::ListServersResponse> ClusterMonitor::Discover() {
   return resp;
 }
 
-Result<std::map<std::string, ClusterMonitor::ClockOffset>>
-ClusterMonitor::AlignClocks(int samples_per_server) {
-  if (samples_per_server < 1) samples_per_server = 1;
+const char* ClusterMonitor::ServerSample::role() const {
+  if (is_metadata) return "metadata";
+  return server.storage_class == nk::kActiveClass ? "active" : "storage";
+}
+
+Result<std::vector<ClusterMonitor::ServerSample>> ClusterMonitor::Targets(
+    bool* stale) {
   auto discovered = Discover();
   if (discovered.ok()) {
     last_discovered_ = std::move(discovered).value().servers;
     has_discovered_ = true;
-  } else if (!has_discovered_) {
-    return discovered.status();
+  } else {
+    // Metadata down: degrade to the cached server list instead of blinding
+    // the whole round. The metadata row itself is still polled and shows
+    // up unreachable (its detector state says suspect/dead).
+    if (!has_discovered_) return discovered.status();
+    if (stale != nullptr) *stale = true;
   }
-
-  std::vector<std::string> addresses{metadata_address_};
-  for (const auto& server : last_discovered_) {
-    if (std::find(addresses.begin(), addresses.end(), server.address) ==
-        addresses.end()) {
-      addresses.push_back(server.address);
+  std::vector<ServerSample> targets(1 + last_discovered_.size());
+  targets[0].server.address = metadata_address_;
+  targets[0].is_metadata = true;
+  std::vector<std::string> seen{metadata_address_};
+  for (std::size_t i = 0; i < last_discovered_.size(); ++i) {
+    ServerSample& target = targets[i + 1];
+    target.server = last_discovered_[i];
+    if (std::find(seen.begin(), seen.end(), target.server.address) !=
+        seen.end()) {
+      target.status = Status::AlreadyExists("address already polled");
+    } else {
+      seen.push_back(target.server.address);
     }
   }
+  return targets;
+}
 
+Result<Buffer> ClusterMonitor::Fetch(const std::string& address,
+                                     const net::IntrospectRequest& request) {
+  GLIDER_ASSIGN_OR_RETURN(auto conn, Conn(address));
+  auto reply = net::Call<Buffer>(*conn, net::kIntrospect, request);
+  if (!reply.ok()) conns_.erase(address);
+  return reply;
+}
+
+Result<std::map<std::string, ClusterMonitor::ClockOffset>>
+ClusterMonitor::AlignClocks(int samples_per_server) {
+  if (samples_per_server < 1) samples_per_server = 1;
+  GLIDER_ASSIGN_OR_RETURN(auto targets, Targets());
   std::map<std::string, ClockOffset> offsets;
   auto& registry = obs::MetricsRegistry::Global();
-  for (const std::string& address : addresses) {
+  for (const ServerSample& target : targets) {
+    if (!target.status.ok()) continue;
+    const std::string& address = target.server.address;
     auto conn = Conn(address);
     if (!conn.ok()) continue;
     obs::ClockOffsetEstimator estimator;
@@ -90,88 +120,31 @@ ClusterMonitor::AlignClocks(int samples_per_server) {
   return offsets;
 }
 
-Result<std::string> ClusterMonitor::FetchTraceJson(const std::string& address,
-                                                   bool clear_after) {
-  GLIDER_ASSIGN_OR_RETURN(auto conn, Conn(address));
-  Buffer payload;
-  if (clear_after) {
-    payload.Resize(1);
-    payload.mutable_span()[0] = 1;
-  }
-  auto result = conn->CallSync(net::kTraceDump, std::move(payload));
-  if (!result.ok()) {
-    conns_.erase(address);
-    return result.status();
-  }
-  return std::string(reinterpret_cast<const char*>(result->data()),
-                     result->size());
-}
-
 Result<ClusterMonitor::ClusterSample> ClusterMonitor::Poll() {
   ClusterSample sample;
-  auto discovered = Discover();
-  if (discovered.ok()) {
-    last_discovered_ = std::move(discovered).value().servers;
-    has_discovered_ = true;
-  } else {
-    // Metadata down: degrade to the cached server list instead of blinding
-    // the whole round. The metadata row itself is polled below and shows
-    // up unreachable (its detector state says suspect/dead).
-    if (!has_discovered_) return discovered.status();
-    sample.stale_discovery = true;
-  }
-
-  // The metadata server first (it has no registry entry of its own), then
-  // every registered server. Servers that share one process (MiniCluster,
-  // single-daemon deployments) share one registry; polling the same
-  // address twice would double-count, so dedupe by address.
-  std::vector<std::pair<nk::ListServersResponse::Entry, bool>> targets;
-  {
-    nk::ListServersResponse::Entry meta;
-    meta.address = metadata_address_;
-    targets.emplace_back(std::move(meta), true);
-  }
-  for (const auto& server : last_discovered_) {
-    targets.emplace_back(server, false);
-  }
-  std::vector<std::string> seen;
-  for (auto& [entry, is_meta] : targets) {
-    ServerSample s;
-    s.server = std::move(entry);
-    s.is_metadata = is_meta;
-    if (std::find(seen.begin(), seen.end(), s.server.address) != seen.end()) {
-      s.status = Status::AlreadyExists("address already polled");
-      sample.servers.push_back(std::move(s));
-      continue;
-    }
-    seen.push_back(s.server.address);
-    auto conn = Conn(s.server.address);
-    if (!conn.ok()) {
-      s.status = conn.status();
+  GLIDER_ASSIGN_OR_RETURN(sample.servers, Targets(&sample.stale_discovery));
+  for (ServerSample& s : sample.servers) {
+    if (!s.status.ok()) continue;  // a repeated address
+    auto reply = Fetch(s.server.address, {});
+    auto dump = reply.ok() ? net::SeriesDumpResponse::Decode(reply->span())
+                           : Result<net::SeriesDumpResponse>(reply.status());
+    if (!dump.ok()) {
+      s.status = dump.status();
     } else {
-      auto dump = net::Call<net::SeriesDumpResponse>(**conn, net::kSeriesDump,
-                                                     Buffer{});
-      if (!dump.ok()) {
-        conns_.erase(s.server.address);  // reconnect on the next poll
-        s.status = dump.status();
-      } else {
-        s.dump = std::move(dump).value();
-        // A successful dump is a heartbeat; the dump's load gauges (milli
-        // scaled, published by the server's LoadTracker) ride along.
-        health_.Heartbeat(s.server.address);
-        if (const std::int64_t* li = s.dump.snapshot.FindGauge("load_index")) {
-          s.load_index = static_cast<double>(*li) / 1000.0;
-        }
-        if (const std::int64_t* hs =
-                s.dump.snapshot.FindGauge("hotspot_slots")) {
-          s.hotspot_slots = *hs;
-        }
-        health_.ReportLoad(s.server.address, s.load_index, s.hotspot_slots);
+      s.dump = std::move(dump).value();
+      // A successful dump is a heartbeat; the dump's load gauges (milli
+      // scaled, published by the server's LoadTracker) ride along.
+      health_.Heartbeat(s.server.address);
+      if (const std::int64_t* li = s.dump.snapshot.FindGauge("load_index")) {
+        s.load_index = static_cast<double>(*li) / 1000.0;
       }
+      if (const std::int64_t* hs = s.dump.snapshot.FindGauge("hotspot_slots")) {
+        s.hotspot_slots = *hs;
+      }
+      health_.ReportLoad(s.server.address, s.load_index, s.hotspot_slots);
     }
     s.health = health_.State(s.server.address);
     s.phi = health_.Phi(s.server.address);
-    sample.servers.push_back(std::move(s));
   }
 
   std::vector<const obs::MetricsSnapshot*> snapshots;
@@ -183,39 +156,15 @@ Result<ClusterMonitor::ClusterSample> ClusterMonitor::Poll() {
 }
 
 Result<net::LedgerDumpResponse> ClusterMonitor::PollLedgers(bool clear_after) {
-  auto discovered = Discover();
-  if (discovered.ok()) {
-    last_discovered_ = std::move(discovered).value().servers;
-    has_discovered_ = true;
-  } else if (!has_discovered_) {
-    return discovered.status();
-  }
-
-  std::vector<std::string> addresses{metadata_address_};
-  for (const auto& server : last_discovered_) {
-    if (std::find(addresses.begin(), addresses.end(), server.address) ==
-        addresses.end()) {
-      addresses.push_back(server.address);
-    }
-  }
-
+  GLIDER_ASSIGN_OR_RETURN(auto targets, Targets());
   net::LedgerDumpResponse merged;
   bool any = false;
-  for (const std::string& address : addresses) {
-    auto conn = Conn(address);
-    if (!conn.ok()) continue;
-    Buffer payload;
-    if (clear_after) {
-      payload.Resize(1);
-      payload.mutable_span()[0] = 1;
-    }
-    auto result = (*conn)->CallSync(net::kLedgerDump, std::move(payload));
-    if (!result.ok()) {
-      conns_.erase(address);
-      continue;
-    }
-    auto dump = net::LedgerDumpResponse::Decode(
-        ByteSpan(result->data(), result->size()));
+  for (const ServerSample& target : targets) {
+    if (!target.status.ok()) continue;
+    auto reply = Fetch(target.server.address,
+                       {net::Section::kLedger, clear_after});
+    if (!reply.ok()) continue;
+    auto dump = net::LedgerDumpResponse::Decode(reply->span());
     if (!dump.ok()) continue;
     merged.Merge(dump.value());
     any = true;

@@ -2,8 +2,8 @@
 // (DESIGN.md "Cluster observability").
 //
 // Given one metadata address it discovers every registered server via
-// kListServers, polls each (plus the metadata server itself) with the
-// typed kSeriesDump stub, and merges the per-process registry snapshots
+// kListServers, polls each (plus the metadata server itself) for the
+// kIntrospect metrics section, and merges the per-process registry snapshots
 // into one cluster-wide MetricsSnapshot: counters and gauges sum, log2
 // histograms merge bucket-wise — percentiles over the merged buckets are
 // exact cluster percentiles, not averages of per-server percentiles.
@@ -45,6 +45,9 @@ class ClusterMonitor {
     // "hotspot_slots" published by the server's LoadTracker).
     double load_index = 0.0;
     std::int64_t hotspot_slots = -1;  // -1 = not reported
+
+    // "metadata", "active" or "storage": the one label every tool prints.
+    const char* role() const;
   };
 
   struct ClusterSample {
@@ -85,18 +88,20 @@ class ClusterMonitor {
   Result<std::map<std::string, ClockOffset>> AlignClocks(
       int samples_per_server = 8);
 
-  // One server's kTraceDump JSON (clear_after requests clear-after-dump).
-  Result<std::string> FetchTraceJson(const std::string& address,
-                                     bool clear_after = false);
+  // One server's introspection section (net::kIntrospect), raw reply
+  // payload. A failed call drops the cached connection, so the next use
+  // reconnects.
+  Result<Buffer> Fetch(const std::string& address,
+                       const net::IntrospectRequest& request);
 
-  // One poll across the cluster: discover + kSeriesDump everyone. A dead
+  // One poll across the cluster: discover + fetch everyone's metrics. A dead
   // metadata server degrades to the cached server list (stale_discovery)
   // with the metadata row marked unreachable — one dead server, even that
   // one, never blinds the whole sample. Fails only before the first
   // successful discovery, when there is no cached list to fall back to.
   Result<ClusterSample> Poll();
 
-  // One attribution poll: discover + kLedgerDump every reachable server
+  // One attribution poll: discover + fetch every reachable server's ledger
   // (deduped by address, like Poll), exactly merged — ledger cells sum per
   // (principal, op), sketches merge under the space-saving rule.
   // `clear_after` requests clear-after-dump on every server. Fails only
@@ -115,6 +120,14 @@ class ClusterMonitor {
 
  private:
   Result<std::shared_ptr<net::Connection>> Conn(const std::string& address);
+
+  // Discovers the server list, falling back to the last one (and setting
+  // *stale, when given) if the metadata server does not answer; fails only
+  // before the first successful discovery. Returns one row per target, the
+  // metadata server first. Servers that share one process (MiniCluster,
+  // single-daemon deployments) share one registry, so a repeated address
+  // gets an AlreadyExists row instead of being polled twice.
+  Result<std::vector<ServerSample>> Targets(bool* stale = nullptr);
 
   net::Transport* transport_;
   std::string metadata_address_;

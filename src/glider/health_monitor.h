@@ -8,11 +8,11 @@
 //
 //   * per-peer "health.phi.<address>" gauges (milli-scaled) in the global
 //     MetricsRegistry — Prometheus exports them as glider_health_phi_*;
-//   * the process HealthBoard, served to any client via kHealthDump
+//   * the process HealthBoard, served to any client via the health section
 //     (`glider_cli health`).
 //
 // ClusterMonitor-driven pollers (glider_top) get heartbeats for free from
-// their kSeriesDump loop; the HealthMonitor exists so that *servers* watch
+// their metrics-section loop; the HealthMonitor exists so that *servers* watch
 // each other even when nobody is polling — the daemon runs one when
 // --health-ms is set.
 #pragma once
@@ -47,7 +47,7 @@ class HealthMonitor {
     // Publish "health.phi.<address>" and "clock.offset_us.<address>"
     // gauges into the global registry.
     bool publish_metrics = true;
-    // Publish the per-tick board to HealthBoard::Global() (kHealthDump).
+    // Publish the per-tick board to HealthBoard::Global() (the health section).
     bool publish_board = true;
   };
 

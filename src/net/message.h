@@ -23,8 +23,9 @@
 // sent by both sides before any frame) so a mixed-version peer fails fast
 // with a clear mismatch error instead of misreading payload_len at the
 // wrong offset and misframing. Bump kWireVersion whenever the header
-// layout changes (v2: the header grew from 32 to 40 bytes when
-// `principal` was added).
+// layout changes or a management opcode's payload changes meaning (v2: the
+// header grew from 32 to 40 bytes when `principal` was added; v3: opcode
+// 990 became kIntrospect and the per-section dump opcodes were retired).
 #pragma once
 
 #include <cstdint>
@@ -41,10 +42,11 @@ inline constexpr std::size_t kFrameHeaderSize = 2 + 2 + 8 + 8 + 8 + 8 + 4;
 
 // Connection preamble: 4 magic bytes + u32 wire version (little-endian),
 // exchanged once per TCP connection before the first frame in either
-// direction. v2 = the 40-byte header with the `principal` field.
+// direction. v3 = the 40-byte header with the `principal` field, plus the
+// kIntrospect management opcode.
 inline constexpr std::size_t kWirePreambleSize = 8;
 inline constexpr std::uint8_t kWireMagic[4] = {'G', 'L', 'D', 'R'};
-inline constexpr std::uint32_t kWireVersion = 2;
+inline constexpr std::uint32_t kWireVersion = 3;
 
 inline void EncodeWirePreamble(std::uint8_t (&out)[kWirePreambleSize]) {
   for (int i = 0; i < 4; ++i) out[i] = kWireMagic[i];

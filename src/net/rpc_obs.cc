@@ -40,15 +40,8 @@ const char* RpcOpName(std::uint16_t opcode) {
     case 53: return "S3Delete";
     case 54: return "S3Size";
     case 8: return "ListServers";
-    case kStatsDump: return "StatsDump";
-    case kTraceDump: return "TraceDump";
-    case kSeriesDump: return "SeriesDump";
-    case kSlowTraceDump: return "SlowTraceDump";
-    case kProfileDump: return "ProfileDump";
+    case kIntrospect: return "Introspect";
     case kHeartbeat: return "Heartbeat";
-    case kHealthDump: return "HealthDump";
-    case kEventDump: return "EventDump";
-    case kLedgerDump: return "LedgerDump";
     default: return "OpOther";
   }
 }
@@ -206,27 +199,74 @@ void RefreshMirroredGauges(const Metrics* metrics) {
       .Set(static_cast<std::int64_t>(data_plane::PoolHits()));
   registry.GetGauge("data_plane.pool_misses")
       .Set(static_cast<std::int64_t>(data_plane::PoolMisses()));
-  // Touching the counter here materializes it even at zero, so every stats
-  // dump / /metrics scrape reports span loss explicitly instead of omitting
+  // Touching the counter here materializes it even at zero, so every metrics
+  // section / /metrics scrape reports span loss explicitly instead of omitting
   // the row until the first drop.
   static obs::Counter& dropped =
       obs::MetricsRegistry::Global().GetCounter("trace.dropped_spans");
   (void)dropped;
-  // Load index + hotspot gauges ride the same refresh: every stats/series
-  // dump (and every /metrics scrape via the HTTP hook) sees fresh values.
+  // Load index + hotspot gauges ride the same refresh: every metrics
+  // section (and every /metrics scrape via the HTTP hook) sees fresh values.
   obs::LoadTracker::Global().Update();
   // Per-principal ledger rollups ("ledger.<principal>.*") ride along too,
-  // so kSeriesDump / Prometheus / glider_top get attribution without the
-  // dedicated kLedgerDump opcode.
+  // so the metrics section / Prometheus / glider_top get attribution
+  // without a ledger dump.
   obs::PublishLedgerRollups();
 }
 
-std::string StatsJson(const Metrics* metrics) {
-  RefreshMirroredGauges(metrics);
-  return obs::MetricsRegistry::Global().ToJson();
+// --- kIntrospect wire formats ------------------------------------------------
+
+Buffer IntrospectRequest::Encode() const {
+  BinaryWriter w;
+  w.PutU8(static_cast<std::uint8_t>(section));
+  w.PutU8(clear ? 1 : 0);
+  w.PutU8(static_cast<std::uint8_t>(profile));
+  w.PutU32(hz);
+  return std::move(w).Finish();
 }
 
-// --- kSeriesDump wire format -------------------------------------------------
+Result<IntrospectRequest> IntrospectRequest::Decode(ByteSpan payload) {
+  constexpr std::size_t kSize = 1 + 1 + 1 + 4;
+  if (payload.size() != kSize) {
+    return Status::InvalidArgument("introspect request is " +
+                                   std::to_string(payload.size()) +
+                                   " bytes, want " + std::to_string(kSize));
+  }
+  BinaryReader r(payload);
+  IntrospectRequest req;
+  GLIDER_ASSIGN_OR_RETURN(auto section, r.U8());
+  GLIDER_ASSIGN_OR_RETURN(auto clear, r.U8());
+  GLIDER_ASSIGN_OR_RETURN(auto profile, r.U8());
+  GLIDER_ASSIGN_OR_RETURN(req.hz, r.U32());
+  if (section > static_cast<std::uint8_t>(Section::kLedger)) {
+    return Status::InvalidArgument("unknown introspect section " +
+                                   std::to_string(section));
+  }
+  if (clear > 1) return Status::InvalidArgument("clear flag must be 0 or 1");
+  if (profile > static_cast<std::uint8_t>(ProfileCmd::kStop)) {
+    return Status::InvalidArgument("unknown profile command " +
+                                   std::to_string(profile));
+  }
+  req.section = static_cast<Section>(section);
+  req.clear = clear == 1;
+  req.profile = static_cast<ProfileCmd>(profile);
+  const bool is_profile = req.section == Section::kProfile;
+  if (!is_profile && req.profile != ProfileCmd::kDump) {
+    return Status::InvalidArgument("profile command on a non-profile section");
+  }
+  if (req.clear && (req.section == Section::kMetrics ||
+                    req.section == Section::kHealth ||
+                    req.profile != ProfileCmd::kDump)) {
+    return Status::InvalidArgument("nothing to clear in this section");
+  }
+  if (req.hz != 0 && !(is_profile && req.profile == ProfileCmd::kStart)) {
+    return Status::InvalidArgument("hz is only for a profile start");
+  }
+  return req;
+}
+
+// Histograms as sparse (u8 bucket index, u64 count) pairs: log2 histograms
+// populate a handful of the 64 buckets, so sparse beats dense ~8x.
 //
 // Histograms as sparse (u8 bucket index, u64 count) pairs: log2 histograms
 // populate a handful of the 64 buckets, so sparse beats dense ~8x.
@@ -314,33 +354,28 @@ Result<SeriesDumpResponse> SeriesDumpResponse::Decode(ByteSpan payload) {
   SeriesDumpResponse resp;
   GLIDER_ASSIGN_OR_RETURN(resp.snapshot.generation, r.U64());
   GLIDER_ASSIGN_OR_RETURN(auto n_counters, r.U32());
-  resp.snapshot.counters.reserve(n_counters);
   for (std::uint32_t i = 0; i < n_counters; ++i) {
     GLIDER_ASSIGN_OR_RETURN(auto name, r.String());
     GLIDER_ASSIGN_OR_RETURN(auto value, r.U64());
     resp.snapshot.counters.emplace_back(std::move(name), value);
   }
   GLIDER_ASSIGN_OR_RETURN(auto n_gauges, r.U32());
-  resp.snapshot.gauges.reserve(n_gauges);
   for (std::uint32_t i = 0; i < n_gauges; ++i) {
     GLIDER_ASSIGN_OR_RETURN(auto name, r.String());
     GLIDER_ASSIGN_OR_RETURN(auto value, r.I64());
     resp.snapshot.gauges.emplace_back(std::move(name), value);
   }
   GLIDER_ASSIGN_OR_RETURN(auto n_hists, r.U32());
-  resp.snapshot.histograms.reserve(n_hists);
   for (std::uint32_t i = 0; i < n_hists; ++i) {
     GLIDER_ASSIGN_OR_RETURN(auto name, r.String());
     GLIDER_ASSIGN_OR_RETURN(auto hist, GetHistogram(r));
     resp.snapshot.histograms.emplace_back(std::move(name), hist);
   }
   GLIDER_ASSIGN_OR_RETURN(auto n_series, r.U32());
-  resp.series.reserve(n_series);
   for (std::uint32_t i = 0; i < n_series; ++i) {
     obs::SeriesData s;
     GLIDER_ASSIGN_OR_RETURN(s.name, r.String());
     GLIDER_ASSIGN_OR_RETURN(auto n_samples, r.U32());
-    s.samples.reserve(n_samples);
     for (std::uint32_t j = 0; j < n_samples; ++j) {
       obs::TimeSeries::Sample sample;
       GLIDER_ASSIGN_OR_RETURN(sample.t_us, r.U64());
@@ -383,7 +418,6 @@ Result<LedgerDumpResponse> LedgerDumpResponse::Decode(ByteSpan payload) {
   BinaryReader r(payload);
   LedgerDumpResponse resp;
   GLIDER_ASSIGN_OR_RETURN(auto n_entries, r.U32());
-  resp.entries.reserve(n_entries);
   for (std::uint32_t i = 0; i < n_entries; ++i) {
     obs::LedgerEntry e;
     GLIDER_ASSIGN_OR_RETURN(e.principal, r.U64());
@@ -396,13 +430,11 @@ Result<LedgerDumpResponse> LedgerDumpResponse::Decode(ByteSpan payload) {
     resp.entries.push_back(std::move(e));
   }
   GLIDER_ASSIGN_OR_RETURN(auto n_sketches, r.U8());
-  resp.sketches.reserve(n_sketches);
   for (std::uint8_t i = 0; i < n_sketches; ++i) {
     Sketch sketch;
     GLIDER_ASSIGN_OR_RETURN(sketch.name, r.String());
     GLIDER_ASSIGN_OR_RETURN(sketch.total, r.U64());
     GLIDER_ASSIGN_OR_RETURN(auto n, r.U32());
-    sketch.entries.reserve(n);
     for (std::uint32_t j = 0; j < n; ++j) {
       obs::SpaceSavingTopK::Entry e;
       GLIDER_ASSIGN_OR_RETURN(e.key, r.String());
@@ -457,143 +489,126 @@ Result<HeartbeatResponse> HeartbeatResponse::Decode(ByteSpan payload) {
   return resp;
 }
 
+namespace {
+
+// Dumps a JSON source, then clears it when asked: `json` is rendered before
+// the call, so the reply holds exactly what the clear dropped.
+template <typename Source>
+Buffer DumpThenClear(std::string json, Source& source, bool clear) {
+  if (clear) source.Clear();
+  return Buffer::FromString(std::move(json));
+}
+
+Buffer MetricsSection(const Metrics* metrics) {
+  RefreshMirroredGauges(metrics);
+  SeriesDumpResponse resp;
+  auto& sampler = obs::TimeSeriesSampler::Global();
+  resp.snapshot = obs::MetricsRegistry::Global().Snapshot();
+  resp.series = sampler.Snapshot();
+  resp.sampler_interval_ms =
+      sampler.running() ? static_cast<std::uint64_t>(sampler.interval().count())
+                        : 0;
+  return resp.Encode();
+}
+
+Buffer LedgerSection(bool clear) {
+  LedgerDumpResponse resp;
+  resp.entries = obs::ResourceLedger::Global().Snapshot();
+  const struct {
+    const char* name;
+    obs::SpaceSavingTopK* sketch;
+  } sketches[] = {{"keys", &obs::KeySketch()},
+                  {"methods", &obs::MethodSketch()},
+                  {"principals", &obs::PrincipalSketch()}};
+  for (const auto& [name, sketch] : sketches) {
+    LedgerDumpResponse::Sketch out;
+    out.name = name;
+    out.total = sketch->Total();
+    out.entries = sketch->Entries();
+    resp.sketches.push_back(std::move(out));
+    if (clear) sketch->Clear();
+  }
+  if (clear) obs::ResourceLedger::Global().Clear();
+  return resp.Encode();
+}
+
+Result<Buffer> ProfileSection(const IntrospectRequest& req) {
+  auto& profiler = obs::SamplingProfiler::Global();
+  switch (req.profile) {
+    case ProfileCmd::kStart: {
+      obs::SamplingProfiler::Options opts;
+      if (req.hz != 0) opts.hz = static_cast<int>(req.hz);
+      const Status s = profiler.Start(opts);
+      // kAlreadyExists maps to 0 so the caller knows not to stop someone
+      // else's run.
+      if (!s.ok() && s.code() != StatusCode::kAlreadyExists) return s;
+      return Buffer::FromString(std::string(1, s.ok() ? 1 : 0));
+    }
+    case ProfileCmd::kStop:
+      profiler.Stop();
+      return Buffer();
+    case ProfileCmd::kDump:
+      break;
+  }
+  return Buffer::FromString(profiler.CollectFolded(req.clear));
+}
+
+Result<Buffer> Introspect(const IntrospectRequest& req,
+                          const Metrics* metrics) {
+  switch (req.section) {
+    case Section::kMetrics:
+      return MetricsSection(metrics);
+    case Section::kTrace: {
+      auto& recorder = obs::TraceRecorder::Global();
+      return DumpThenClear(recorder.ToChromeJson(), recorder, req.clear);
+    }
+    case Section::kSlowTraces: {
+      auto& store = obs::SlowTraceStore::Global();
+      return DumpThenClear(store.ToJson(), store, req.clear);
+    }
+    case Section::kProfile:
+      return ProfileSection(req);
+    case Section::kHealth:
+      return Buffer::FromString(obs::HealthBoard::Global().ToJson());
+    case Section::kEvents: {
+      auto& journal = obs::EventJournal::Global();
+      return DumpThenClear(journal.ToJson(), journal, req.clear);
+    }
+    case Section::kLedger:
+      return LedgerSection(req.clear);
+  }
+  return Status::InvalidArgument("unknown introspect section");
+}
+
+}  // namespace
+
 bool TryHandleObs(Message& request, Responder& responder,
                   const Metrics* metrics) {
-  switch (request.opcode) {
-    case kHeartbeat: {
-      // Cheapest possible liveness probe: no registry snapshot unless the
-      // LoadTracker's window elapsed (it caches inside min_window).
-      const obs::LoadTracker::LoadSnapshot load =
-          obs::LoadTracker::Global().Update();
-      HeartbeatResponse resp;
-      resp.server_time_us = obs::TraceNowMicros();
-      resp.load_index = load.load_index;
-      resp.hotspot_slots = static_cast<std::uint32_t>(load.hotspots.size());
-      responder.SendOk(request, resp.Encode());
-      return true;
-    }
-    case kHealthDump: {
-      responder.SendOk(
-          request, Buffer::FromString(obs::HealthBoard::Global().ToJson()));
-      return true;
-    }
-    case kEventDump: {
-      auto& journal = obs::EventJournal::Global();
-      std::string json = journal.ToJson();
-      // Payload byte 0 == 1 requests a clear-after-dump (same convention
-      // as kTraceDump/kSlowTraceDump).
-      if (request.payload.size() >= 1 && request.payload.data()[0] == 1) {
-        journal.Clear();
-      }
-      responder.SendOk(request, Buffer::FromString(json));
-      return true;
-    }
-    case kStatsDump: {
-      responder.SendOk(request, Buffer::FromString(StatsJson(metrics)));
-      return true;
-    }
-    case kTraceDump: {
-      auto& recorder = obs::TraceRecorder::Global();
-      std::string json = recorder.ToChromeJson();
-      // Payload byte 0 == 1 requests a clear-after-dump.
-      if (request.payload.size() >= 1 && request.payload.data()[0] == 1) {
-        recorder.Clear();
-      }
-      responder.SendOk(request, Buffer::FromString(json));
-      return true;
-    }
-    case kSeriesDump: {
-      RefreshMirroredGauges(metrics);
-      SeriesDumpResponse resp;
-      auto& sampler = obs::TimeSeriesSampler::Global();
-      resp.snapshot = obs::MetricsRegistry::Global().Snapshot();
-      resp.series = sampler.Snapshot();
-      resp.sampler_interval_ms = sampler.running()
-                                     ? static_cast<std::uint64_t>(
-                                           sampler.interval().count())
-                                     : 0;
-      responder.SendOk(request, resp.Encode());
-      return true;
-    }
-    case kLedgerDump: {
-      LedgerDumpResponse resp;
-      resp.entries = obs::ResourceLedger::Global().Snapshot();
-      const struct {
-        const char* name;
-        obs::SpaceSavingTopK* sketch;
-      } sketches[] = {{"keys", &obs::KeySketch()},
-                      {"methods", &obs::MethodSketch()},
-                      {"principals", &obs::PrincipalSketch()}};
-      for (const auto& [name, sketch] : sketches) {
-        LedgerDumpResponse::Sketch out;
-        out.name = name;
-        out.total = sketch->Total();
-        out.entries = sketch->Entries();
-        resp.sketches.push_back(std::move(out));
-      }
-      // Payload byte 0 == 1 requests a clear-after-dump (same convention
-      // as kTraceDump).
-      if (request.payload.size() >= 1 && request.payload.data()[0] == 1) {
-        obs::ResourceLedger::Global().Clear();
-        obs::KeySketch().Clear();
-        obs::MethodSketch().Clear();
-        obs::PrincipalSketch().Clear();
-      }
-      responder.SendOk(request, resp.Encode());
-      return true;
-    }
-    case kSlowTraceDump: {
-      auto& store = obs::SlowTraceStore::Global();
-      std::string json = store.ToJson();
-      // Same clear-after-dump convention as kTraceDump.
-      if (request.payload.size() >= 1 && request.payload.data()[0] == 1) {
-        store.Clear();
-      }
-      responder.SendOk(request, Buffer::FromString(json));
-      return true;
-    }
-    case kProfileDump: {
-      auto& profiler = obs::SamplingProfiler::Global();
-      ProfileCmd cmd = ProfileCmd::kDump;
-      std::uint32_t hz = 0;
-      if (request.payload.size() >= 1) {
-        cmd = static_cast<ProfileCmd>(request.payload.data()[0]);
-        if (cmd == ProfileCmd::kStart && request.payload.size() >= 5) {
-          std::memcpy(&hz, request.payload.data() + 1, sizeof(hz));
-        }
-      }
-      switch (cmd) {
-        case ProfileCmd::kStart: {
-          obs::SamplingProfiler::Options opts;
-          if (hz != 0) opts.hz = static_cast<int>(hz);
-          const Status s = profiler.Start(opts);
-          // Byte 1 = "this request started the profiler"; kAlreadyExists
-          // maps to 0 so the caller knows not to stop someone else's run.
-          Buffer reply = Buffer::FromString(std::string(1, s.ok() ? 1 : 0));
-          if (!s.ok() && s.code() != StatusCode::kAlreadyExists) {
-            responder.SendError(request, s);
-          } else {
-            responder.SendOk(request, std::move(reply));
-          }
-          return true;
-        }
-        case ProfileCmd::kStop:
-          profiler.Stop();
-          responder.SendOk(request, Buffer());
-          return true;
-        case ProfileCmd::kDumpClear:
-        case ProfileCmd::kDump:
-        default: {
-          std::string folded =
-              profiler.CollectFolded(cmd == ProfileCmd::kDumpClear);
-          responder.SendOk(request, Buffer::FromString(std::move(folded)));
-          return true;
-        }
-      }
-    }
-    default:
-      return false;
+  // Management opcodes sit above every service range: one compare keeps
+  // them off the request path.
+  if (request.opcode < kIntrospect) return false;
+  if (request.opcode == kHeartbeat) {
+    // Cheapest possible liveness probe: no registry snapshot unless the
+    // LoadTracker's window elapsed (it caches inside min_window).
+    const obs::LoadTracker::LoadSnapshot load =
+        obs::LoadTracker::Global().Update();
+    HeartbeatResponse resp;
+    resp.server_time_us = obs::TraceNowMicros();
+    resp.load_index = load.load_index;
+    resp.hotspot_slots = static_cast<std::uint32_t>(load.hotspots.size());
+    responder.SendOk(request, resp.Encode());
+    return true;
   }
+  if (request.opcode != kIntrospect) return false;
+  auto req = IntrospectRequest::Decode(request.payload.span());
+  auto reply =
+      req.ok() ? Introspect(*req, metrics) : Result<Buffer>(req.status());
+  if (reply.ok()) {
+    responder.SendOk(request, std::move(reply).value());
+  } else {
+    responder.SendError(request, reply.status());
+  }
+  return true;
 }
 
 }  // namespace glider::net

@@ -4,7 +4,7 @@
 //     ("rpc.client.<transport>.<op>_us" / "rpc.server.<transport>.<op>_us"),
 //   * trace-context stamping of outgoing requests and installation of the
 //     decoded context around server-side handling,
-//   * the management opcodes kStatsDump/kTraceDump answered uniformly by
+//   * the management opcodes kIntrospect/kHeartbeat answered uniformly by
 //     every server role (storage, metadata, active) via TryHandleObs.
 //
 // Everything short-circuits to a no-op when obs::Enabled() is false, so the
@@ -27,27 +27,53 @@ class Metrics;
 
 namespace glider::net {
 
-// Management opcodes, outside every service's protocol range.
-inline constexpr std::uint16_t kStatsDump = 990;      // -> MetricsRegistry JSON
-inline constexpr std::uint16_t kTraceDump = 991;      // -> Chrome trace JSON
-inline constexpr std::uint16_t kSeriesDump = 992;     // -> SeriesDumpResponse
-inline constexpr std::uint16_t kSlowTraceDump = 993;  // -> slow-trace JSON
-inline constexpr std::uint16_t kProfileDump = 994;    // -> collapsed stacks
-inline constexpr std::uint16_t kHeartbeat = 995;      // -> HeartbeatResponse
-inline constexpr std::uint16_t kHealthDump = 996;     // -> HealthBoard JSON
-inline constexpr std::uint16_t kEventDump = 997;      // -> EventJournal JSON
-inline constexpr std::uint16_t kLedgerDump = 998;     // -> LedgerDumpResponse
+// Management opcodes, outside every service's protocol range. Every
+// server answers both; everything else a server reports goes through the
+// one kIntrospect opcode, selected by section. kHeartbeat stays separate
+// because failure detection depends on it being tiny and cheap.
+inline constexpr std::uint16_t kIntrospect = 990;  // -> see Section
+inline constexpr std::uint16_t kHeartbeat = 995;   // -> HeartbeatResponse
 
-// kProfileDump request payload: empty = dump collapsed stacks; otherwise a
-// u8 command from this enum (kStart is followed by a u32 hz, 0 = default).
-// kStart replies with one byte: 1 = started by this request, 0 = a profiler
-// was already running (callers use it to avoid stopping someone else's
-// session). kDump/kDumpClear reply with the folded text, kStop with empty.
+// kIntrospect request: which section to dump and whether to clear it after
+// dumping (genny's getStats(withReset) shape). Replies, by section:
+//   metrics     -> SeriesDumpResponse (registry snapshot + sampler rings)
+//   trace       -> Chrome trace-event JSON
+//   slow_traces -> retained slow-trace JSON
+//   profile     -> dump: collapsed stacks; start: one byte, 1 = started by
+//                  this request, 0 = a profiler was already running (so a
+//                  caller never stops someone else's session); stop: empty
+//   health      -> HealthBoard JSON
+//   events      -> EventJournal JSON
+//   ledger      -> LedgerDumpResponse
+// Wire form: u8 section, u8 clear, u8 profile command, u32 hz (0 = the
+// profiler's default). Decode rejects with InvalidArgument: unknown
+// sections and commands; `clear` on metrics, health, or a profile start or
+// stop (nothing to clear); hz on anything but a profile start; a profile
+// command on any other section; truncated or trailing bytes.
+enum class Section : std::uint8_t {
+  kMetrics = 0,
+  kTrace = 1,
+  kSlowTraces = 2,
+  kProfile = 3,
+  kHealth = 4,
+  kEvents = 5,
+  kLedger = 6,
+};
+
 enum class ProfileCmd : std::uint8_t {
   kDump = 0,
-  kDumpClear = 1,
-  kStart = 2,
-  kStop = 3,
+  kStart = 1,
+  kStop = 2,
+};
+
+struct IntrospectRequest {
+  Section section = Section::kMetrics;
+  bool clear = false;
+  ProfileCmd profile = ProfileCmd::kDump;
+  std::uint32_t hz = 0;
+
+  Buffer Encode() const;
+  static Result<IntrospectRequest> Decode(ByteSpan payload);
 };
 
 // Human-readable opcode name ("Lookup", "StreamWrite", ...). The table
@@ -90,23 +116,19 @@ void HandleWithObs(Service& service, Message request, Responder responder,
 
 // Handles the management opcodes; returns true when the request was
 // consumed. `metrics` (may be null) contributes the link-class counters to
-// the stats snapshot.
+// the metrics section. Service opcodes cost one compare.
 bool TryHandleObs(Message& request, Responder& responder,
                   const Metrics* metrics);
 
-// The stats JSON served by kStatsDump: MetricsRegistry::ToJson() after
-// mirroring `metrics` (nullable) and the data-plane/buffer-pool counters.
-std::string StatsJson(const Metrics* metrics);
-
 // Republishes `metrics` (nullable) and the data-plane counters into the
-// global registry without rendering anything — shared by the JSON and
-// binary dump paths so both see identical gauges.
+// global registry without rendering anything — shared by the metrics
+// section and the /metrics scrape so both see identical gauges.
 void RefreshMirroredGauges(const Metrics* metrics);
 
-// kSeriesDump payload: the full registry snapshot (binary, mergeable — the
-// JSON stats dump has no bucket counts) plus every sampler ring. Histograms
-// travel as sparse (bucket index, count) pairs; log2 histograms are mostly
-// empty so this keeps cluster polling cheap.
+// The metrics section's reply: the full registry snapshot (binary,
+// mergeable; clients render JSON from it with obs::ToJson) plus every
+// sampler ring. Histograms travel as sparse (bucket index, count) pairs;
+// log2 histograms are mostly empty so this keeps cluster polling cheap.
 struct SeriesDumpResponse {
   obs::MetricsSnapshot snapshot;
   std::vector<obs::SeriesData> series;
@@ -116,10 +138,9 @@ struct SeriesDumpResponse {
   static Result<SeriesDumpResponse> Decode(ByteSpan payload);
 };
 
-// kLedgerDump payload: the node's resource-attribution state — the full
-// (principal, op) ledger plus the heavy-hitter sketches (object keys,
-// action methods, principals). Request payload byte 0 == 1 requests a
-// clear-after-dump (same convention as kTraceDump). Merge() is the exact
+// The ledger section's reply: the node's resource-attribution state — the
+// full (principal, op) ledger plus the heavy-hitter sketches (object keys,
+// action methods, principals). Merge() is the exact
 // cluster-wide merge used by ClusterMonitor: ledger cells sum per key;
 // sketches merge under the space-saving rule.
 struct LedgerDumpResponse {

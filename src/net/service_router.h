@@ -9,7 +9,7 @@
 //       [this](const LookupRequest& req) { return DoLookup(req); });
 //
 // The router owns the shared request plumbing:
-//   * the management opcodes (kStatsDump/kTraceDump) via TryHandleObs,
+//   * the management opcodes (kIntrospect/kHeartbeat) via TryHandleObs,
 //   * request decoding — preferring a zero-copy Decode(const Buffer&)
 //     overload when the request type provides one,
 //   * response encoding — handlers return Result<Resp> for any Resp with

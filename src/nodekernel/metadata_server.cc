@@ -116,7 +116,7 @@ Result<NodeInfoResponse> MetadataServer::DoLookup(const PathRequest& req) {
   obs::Span span("meta", "meta.lookup");
   const std::uint64_t start_us = observed ? obs::TraceNowMicros() : 0;
   // Hot-key attribution: every looked-up path feeds the bounded-memory
-  // heavy-hitter sketch served by kLedgerDump.
+  // heavy-hitter sketch served by the ledger section.
   if (observed) obs::KeySketch().Offer(req.path);
   NodeInfoResponse resp;
   {

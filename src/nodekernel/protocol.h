@@ -262,7 +262,6 @@ struct ListResponse {
     BinaryReader r(b);
     ListResponse resp;
     GLIDER_ASSIGN_OR_RETURN(auto n, r.U32());
-    resp.entries.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       Entry e;
       GLIDER_ASSIGN_OR_RETURN(e.name, r.String());
@@ -310,7 +309,6 @@ struct ListServersResponse {
     BinaryReader r(b);
     ListServersResponse resp;
     GLIDER_ASSIGN_OR_RETURN(auto n, r.U32());
-    resp.servers.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       Entry e;
       GLIDER_ASSIGN_OR_RETURN(e.id, r.U32());

@@ -57,13 +57,13 @@ struct ClusterOptions {
 
   // Nonzero starts the process-wide TimeSeriesSampler at this cadence (and
   // enables tracing so histograms populate); the cluster stops it on
-  // teardown. Drives kSeriesDump / glider_top against a MiniCluster.
+  // teardown. Drives the metrics section / glider_top against a MiniCluster.
   std::chrono::milliseconds sample_interval{0};
 
   // Nonzero starts the process-wide SamplingProfiler at this rate (and
   // enables tracing so dispatch sites install attribution tags); the
-  // cluster stops it on teardown. Drives kProfileDump / glider_cli profile
-  // against a MiniCluster.
+  // cluster stops it on teardown. Drives the profile section / glider_cli
+  // profile against a MiniCluster.
   int profile_hz = 0;
 
   std::shared_ptr<core::ActionRegistry> registry;  // default: Global()

@@ -22,6 +22,7 @@
 #include "common/trace.h"
 #include "glider/client/action_node.h"
 #include "glider/cluster_monitor.h"
+#include "net/rpc_client.h"
 #include "net/rpc_obs.h"
 #include "testing/cluster.h"
 #include "workloads/actions.h"
@@ -478,7 +479,7 @@ TEST(EmptyHistogramTest, PercentilesAreZeroAndExpositionIsClean) {
   EXPECT_EQ(snap.Mean(), 0.0);
 
   // Neither exposition format leaks NaN or inf for the empty family.
-  const std::string json = registry.ToJson();
+  const std::string json = obs::ToJson(registry.Snapshot());
   EXPECT_FALSE(Contains(json, "nan"));
   EXPECT_FALSE(Contains(json, "inf"));
   const std::string prom = obs::PrometheusText(registry);
@@ -672,14 +673,15 @@ TEST(AttributionE2ETest, TwoTenantsBillSeparatelyAndSumToSlotAccounting) {
   // drains every read stream).
   EXPECT_EQ(stream_bytes_in, slot_bytes_in + slot_bytes_out);
 
-  // --- The wire: one kLedgerDump against the metadata address returns
-  // exactly the process-global snapshot (same process, mgmt opcodes are
-  // never charged, so nothing moves between dump and local snapshot).
+  // --- The wire: one ledger section dump against the metadata address
+  // returns exactly the process-global snapshot (same process, mgmt opcodes
+  // are never charged, so nothing moves between dump and local snapshot).
   {
     auto conn = (*cluster)->transport().Connect((*cluster)->metadata_address(),
                                                 nullptr);
     ASSERT_TRUE(conn.ok()) << conn.status().ToString();
-    auto raw = (*conn)->CallSync(net::kLedgerDump, Buffer{});
+    auto raw = net::Call<Buffer>(**conn, net::kIntrospect,
+                                 net::IntrospectRequest{net::Section::kLedger});
     ASSERT_TRUE(raw.ok()) << raw.status().ToString();
     auto dump =
         net::LedgerDumpResponse::Decode(ByteSpan(raw->data(), raw->size()));

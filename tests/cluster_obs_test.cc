@@ -2,8 +2,10 @@
 // observability"): Prometheus text exposition conformance, time-series ring
 // wraparound and rate computation, the MetricsRegistry::ResetAll() vs
 // concurrent-sampler regression, slow-trace retention (bounds + adaptive
-// threshold), the /metrics HTTP responder, and an end-to-end ClusterMonitor
-// merge over a MiniCluster.
+// threshold), the /metrics HTTP responder, an end-to-end ClusterMonitor
+// merge over a MiniCluster, and the kIntrospect opcode: every section on
+// every server role over both transports, clear-after-dump, request
+// validation, and the retired per-section dump opcodes.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -17,12 +19,17 @@
 #include <thread>
 #include <vector>
 
+#include "common/attribution.h"
+#include "common/event_journal.h"
 #include "common/metrics_registry.h"
+#include "common/profiler.h"
 #include "common/prometheus.h"
 #include "common/time_series.h"
 #include "common/trace.h"
 #include "glider/cluster_monitor.h"
 #include "net/http_metrics.h"
+#include "net/rpc_client.h"
+#include "net/rpc_obs.h"
 #include "nodekernel/client/store_client.h"
 #include "testing/cluster.h"
 #include "workloads/actions.h"
@@ -639,6 +646,215 @@ TEST(ClusterMonitorTest, PollsAndMergesLiveMiniCluster) {
 
   cluster->reset();  // stops the sampler it started
   EXPECT_FALSE(obs::TimeSeriesSampler::Global().running());
+  obs::SetEnabled(false);
+}
+
+// ---- kIntrospect ------------------------------------------------------------
+
+struct SectionCase {
+  const char* name;
+  net::Section section;
+  const char* marker;  // content Seed() plants; nullptr = not clearable
+};
+
+const SectionCase kSections[] = {
+    {"metrics", net::Section::kMetrics, nullptr},
+    {"trace", net::Section::kTrace, "introspect.trace"},
+    {"slow_traces", net::Section::kSlowTraces, "introspect.slow"},
+    {"profile", net::Section::kProfile, "introspect.profile"},
+    {"health", net::Section::kHealth, nullptr},
+    {"events", net::Section::kEvents, "introspect-events"},
+    {"ledger", net::Section::kLedger, "introspect.ledger"},
+};
+
+// Plants `c.marker` in the section's process-wide source.
+void Seed(const SectionCase& c) {
+  switch (c.section) {
+    case net::Section::kTrace:
+      obs::TraceRecorder::Global().Record(MakeRoot(c.marker, 5, 4242));
+      break;
+    case net::Section::kSlowTraces:
+      SlowTraceStore::Global().Flag(MakeRoot(c.marker, 5, 4243), 1);
+      break;
+    case net::Section::kProfile: {
+      obs::ProfileTagScope tag(c.marker);
+      obs::SamplingProfiler::Global().AddWaitSample("queue", 1'000'000);
+      break;
+    }
+    case net::Section::kEvents:
+      obs::JournalEvent(obs::EventType::kFlushStorm, "tcp", c.marker, 1);
+      break;
+    case net::Section::kLedger: {
+      obs::LedgerCell cell;
+      cell.invocations = 1;
+      obs::ResourceLedger::Global().Charge(obs::PrincipalFromName("intro"),
+                                           c.marker, cell);
+      obs::KeySketch().Offer(c.marker);
+      break;
+    }
+    case net::Section::kMetrics:
+    case net::Section::kHealth:
+      break;
+  }
+}
+
+// A section reply as searchable text; binary replies are decoded (and must
+// decode).
+std::string Text(net::Section section, const Buffer& reply) {
+  if (section == net::Section::kMetrics) {
+    auto dump = net::SeriesDumpResponse::Decode(reply.span());
+    EXPECT_TRUE(dump.ok()) << dump.status().ToString();
+    return dump.ok() ? obs::ToJson(dump->snapshot) : "";
+  }
+  if (section == net::Section::kLedger) {
+    auto dump = net::LedgerDumpResponse::Decode(reply.span());
+    EXPECT_TRUE(dump.ok()) << dump.status().ToString();
+    if (!dump.ok()) return "";
+    std::string text;
+    for (const auto& e : dump->entries) text += e.op + "\n";
+    for (const auto& sketch : dump->sketches) {
+      for (const auto& e : sketch.entries) text += e.key + "\n";
+    }
+    return text;
+  }
+  return reply.ToString();
+}
+
+Result<Buffer> Introspect(net::Connection& conn,
+                          const net::IntrospectRequest& req) {
+  return net::Call<Buffer>(conn, net::kIntrospect, req);
+}
+
+TEST(IntrospectTest, EverySectionAnswersOnEveryRoleAndTransport) {
+  workloads::RegisterWorkloadActions();
+  for (const bool use_tcp : {false, true}) {
+    testing::ClusterOptions options;
+    options.use_tcp = use_tcp;
+    auto cluster = testing::MiniCluster::Start(options);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    const std::vector<std::string> addresses = {
+        (*cluster)->metadata_address(), (*cluster)->data(0).address(),
+        (*cluster)->active(0).address()};
+    for (const auto& address : addresses) {
+      auto conn = (*cluster)->transport().Connect(address, nullptr);
+      ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+      for (const SectionCase& c : kSections) {
+        SCOPED_TRACE(std::string(c.name) + " @ " + address +
+                     (use_tcp ? " (tcp)" : " (inproc)"));
+        auto reply = Introspect(**conn, {c.section});
+        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+        const std::string text = Text(c.section, *reply);
+        if (c.section == net::Section::kMetrics) {
+          EXPECT_TRUE(Contains(text, "\"data_plane.allocs\":"));
+        } else if (c.section != net::Section::kProfile &&
+                   c.section != net::Section::kLedger) {
+          ASSERT_FALSE(text.empty());
+          EXPECT_EQ(text.front(), '{');  // a JSON object
+        }
+      }
+    }
+  }
+}
+
+TEST(IntrospectTest, ClearEmptiesEachClearableSection) {
+  workloads::RegisterWorkloadActions();
+  obs::SetEnabled(true);
+  testing::ClusterOptions options;
+  options.use_tcp = true;
+  auto cluster = testing::MiniCluster::Start(options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  auto conn = (*cluster)->transport().Connect((*cluster)->data(0).address(),
+                                              nullptr);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  // Wait samples only accumulate while the profiler runs.
+  auto started = Introspect(
+      **conn, {net::Section::kProfile, false, net::ProfileCmd::kStart, 0});
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+
+  for (const SectionCase& c : kSections) {
+    if (c.marker == nullptr) continue;
+    SCOPED_TRACE(c.name);
+    Seed(c);
+    auto dumped = Introspect(**conn, {c.section, /*clear=*/true});
+    ASSERT_TRUE(dumped.ok()) << dumped.status().ToString();
+    EXPECT_TRUE(Contains(Text(c.section, *dumped), c.marker));
+    auto after = Introspect(**conn, {c.section});
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    EXPECT_FALSE(Contains(Text(c.section, *after), c.marker));
+  }
+
+  if (started->size() == 1 && started->data()[0] == 1) {
+    EXPECT_TRUE(Introspect(**conn, {net::Section::kProfile, false,
+                                    net::ProfileCmd::kStop})
+                    .ok());
+  }
+  obs::SetEnabled(false);
+}
+
+TEST(IntrospectTest, MalformedRequestsAreInvalidArgument) {
+  const std::vector<std::pair<const char*, std::vector<std::uint8_t>>>
+      cases = {
+          {"unknown section", {7, 0, 0, 0, 0, 0, 0}},
+          {"unknown profile command", {3, 0, 3, 0, 0, 0, 0}},
+          {"clear flag not 0/1", {1, 2, 0, 0, 0, 0, 0}},
+          {"clear on metrics", {0, 1, 0, 0, 0, 0, 0}},
+          {"clear on health", {4, 1, 0, 0, 0, 0, 0}},
+          {"clear on profile start", {3, 1, 1, 0, 0, 0, 0}},
+          {"profile command on trace", {1, 0, 1, 0, 0, 0, 0}},
+          {"profile command on ledger", {6, 0, 2, 0, 0, 0, 0}},
+          {"hz on a profile dump", {3, 0, 0, 99, 0, 0, 0}},
+          {"hz on events", {5, 0, 0, 99, 0, 0, 0}},
+          {"empty", {}},
+          {"truncated hz", {3, 0, 1, 99, 0}},
+          {"trailing byte", {1, 0, 0, 0, 0, 0, 0, 0}},
+      };
+  auto cluster = testing::MiniCluster::Start({});
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  auto conn = (*cluster)->transport().Connect((*cluster)->metadata_address(),
+                                              nullptr);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  for (const auto& [name, bytes] : cases) {
+    SCOPED_TRACE(name);
+    const Buffer payload(bytes.data(), bytes.size());
+    EXPECT_EQ(net::IntrospectRequest::Decode(payload.span()).status().code(),
+              StatusCode::kInvalidArgument);
+    auto reply = (*conn)->CallSync(net::kIntrospect, payload);
+    EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The well-formed neighbours of those cases decode.
+  for (const net::IntrospectRequest& req :
+       {net::IntrospectRequest{net::Section::kLedger, true},
+        net::IntrospectRequest{net::Section::kProfile, true},
+        net::IntrospectRequest{net::Section::kProfile, false,
+                               net::ProfileCmd::kStart, 99}}) {
+    auto decoded = net::IntrospectRequest::Decode(req.Encode().span());
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->section, req.section);
+    EXPECT_EQ(decoded->clear, req.clear);
+    EXPECT_EQ(decoded->profile, req.profile);
+    EXPECT_EQ(decoded->hz, req.hz);
+  }
+}
+
+// The per-section dump opcodes (991-998 except kHeartbeat) are gone: a
+// server answers them like any opcode it never registered.
+TEST(IntrospectTest, RetiredOpcodesAreUnroutable) {
+  obs::SetEnabled(true);
+  auto cluster = testing::MiniCluster::Start({});
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  auto conn = (*cluster)->transport().Connect((*cluster)->data(0).address(),
+                                              nullptr);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  obs::Counter& unroutable =
+      MetricsRegistry::Global().GetCounter("rpc.unroutable");
+  const std::uint64_t before = unroutable.value();
+  const std::vector<std::uint16_t> retired = {991, 992, 993, 994,
+                                              996, 997, 998};
+  for (const std::uint16_t opcode : retired) {
+    auto reply = (*conn)->CallSync(opcode, Buffer{});
+    EXPECT_EQ(reply.status().code(), StatusCode::kUnimplemented) << opcode;
+  }
+  EXPECT_EQ(unroutable.value() - before, retired.size());
   obs::SetEnabled(false);
 }
 

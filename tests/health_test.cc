@@ -3,10 +3,10 @@
 // phi-accrual failure detection under synthetic clocks (growth, the
 // three-window detection bound, dead-state stickiness, zero false positives
 // over a jittered 10s steady state), the load/hotspot tracker, the
-// kHeartbeat/kHealthDump/kEventDump opcodes, and end-to-end ClusterMonitor
-// behavior over a MiniCluster: degraded polling when the metadata server is
-// partitioned away, and alive -> suspect -> dead detection after a hard
-// server kill.
+// kHeartbeat opcode and the health/events introspection sections, and
+// end-to-end ClusterMonitor behavior over a MiniCluster: degraded polling
+// when the metadata server is partitioned away, and alive -> suspect ->
+// dead detection after a hard server kill.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -349,7 +349,7 @@ testing::ClusterOptions SmallCluster() {
   return options;
 }
 
-TEST(HealthRpcTest, HeartbeatHealthAndEventDumps) {
+TEST(HealthRpcTest, HeartbeatHealthAndEventSections) {
   workloads::RegisterWorkloadActions();
   auto cluster_or = testing::MiniCluster::Start(SmallCluster());
   ASSERT_TRUE(cluster_or.ok()) << cluster_or.status().ToString();
@@ -364,21 +364,21 @@ TEST(HealthRpcTest, HeartbeatHealthAndEventDumps) {
   ASSERT_TRUE(beat.ok()) << beat.status().ToString();
   EXPECT_GT(beat->server_time_us, 0u);
 
-  // kHealthDump: valid board JSON even when no monitor runs here.
-  auto health = (*conn)->CallSync(net::kHealthDump, Buffer{});
+  // Health section: valid board JSON even when no monitor runs here.
+  auto health = net::Call<Buffer>(
+      **conn, net::kIntrospect, net::IntrospectRequest{net::Section::kHealth});
   ASSERT_TRUE(health.ok()) << health.status().ToString();
   const std::string health_json(
       reinterpret_cast<const char*>(health->data()), health->size());
   EXPECT_TRUE(Contains(health_json, "\"running\":"));
   EXPECT_TRUE(Contains(health_json, "\"peers\":["));
 
-  // kEventDump with the clear flag drains the journal.
+  // Events section with the clear flag drains the journal.
   EventJournal::Global().Clear();
   obs::JournalEvent(EventType::kFlushStorm, "tcp", "test", 64);
-  Buffer clear;
-  clear.Resize(1);
-  clear.mutable_span()[0] = 1;
-  auto events = (*conn)->CallSync(net::kEventDump, std::move(clear));
+  auto events = net::Call<Buffer>(
+      **conn, net::kIntrospect,
+      net::IntrospectRequest{net::Section::kEvents, /*clear=*/true});
   ASSERT_TRUE(events.ok()) << events.status().ToString();
   const std::string events_json(
       reinterpret_cast<const char*>(events->data()), events->size());

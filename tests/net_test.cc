@@ -650,9 +650,9 @@ TEST_F(ServiceRouterTest, OpNameLookup) {
 }
 
 TEST_F(ServiceRouterTest, ObsOpcodesAnsweredBeforeDispatch) {
-  // kStatsDump is handled by the router's shared obs interception even
+  // kIntrospect is handled by the router's shared obs interception even
   // though MathService never registered it.
-  auto result = conn_->CallSync(kStatsDump, Buffer{});
+  auto result = Call<Buffer>(*conn_, kIntrospect, IntrospectRequest{});
   EXPECT_TRUE(result.ok()) << result.status().ToString();
 }
 

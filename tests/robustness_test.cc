@@ -6,6 +6,7 @@
 #include "common/random.h"
 #include "glider/protocol.h"
 #include "net/message.h"
+#include "net/rpc_obs.h"
 #include "nodekernel/protocol.h"
 #include "testing/cluster.h"
 
@@ -96,6 +97,52 @@ TEST(RobustnessTest, ProtocolStructsSurviveTruncation) {
     req.action_type = "x";
     req.config = Buffer::FromString("cfg");
     TruncationSweep<core::ActionCreateRequest>(req.Encode());
+  }
+  TruncationSweep<net::IntrospectRequest>(
+      net::IntrospectRequest{net::Section::kProfile, false,
+                             net::ProfileCmd::kStart, 99}
+          .Encode());
+}
+
+// A count read from the peer must not size an allocation: a tiny payload
+// that claims ~4G entries fails with a Status (truncation), never a
+// std::bad_alloc abort from reserving for the claimed count.
+TEST(RobustnessTest, InflatedCountsFailCleanly) {
+  auto inflated = [](std::size_t prefix_zeros) {
+    Buffer b(prefix_zeros + 4);
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b.data()[i] = i < prefix_zeros ? 0 : 0xFF;
+    }
+    return b;
+  };
+  // Series reply: generation 0, then counter count 0xFFFFFFFF.
+  EXPECT_FALSE(net::SeriesDumpResponse::Decode(inflated(8).span()).ok());
+  // Ledger reply: entry count 0xFFFFFFFF.
+  EXPECT_FALSE(net::LedgerDumpResponse::Decode(inflated(0).span()).ok());
+  EXPECT_FALSE(nk::ListResponse::Decode(inflated(0).span()).ok());
+  EXPECT_FALSE(nk::ListServersResponse::Decode(inflated(0).span()).ok());
+
+  // Inner counts too: one series whose sample count is inflated, and one
+  // ledger sketch whose entry count is.
+  {
+    BinaryWriter w;
+    w.PutU64(0);  // generation
+    for (int i = 0; i < 3; ++i) w.PutU32(0);  // counters, gauges, hists
+    w.PutU32(1);  // one series
+    w.PutString("s");
+    w.PutU32(0xFFFFFFFFu);  // samples
+    const Buffer b = std::move(w).Finish();
+    EXPECT_FALSE(net::SeriesDumpResponse::Decode(b.span()).ok());
+  }
+  {
+    BinaryWriter w;
+    w.PutU32(0);  // ledger entries
+    w.PutU8(1);   // one sketch
+    w.PutString("keys");
+    w.PutU64(0);            // total
+    w.PutU32(0xFFFFFFFFu);  // entries
+    const Buffer b = std::move(w).Finish();
+    EXPECT_FALSE(net::LedgerDumpResponse::Decode(b.span()).ok());
   }
 }
 

@@ -29,7 +29,7 @@
 //                                    journal as JSON
 //   ledger [--by principal|action|key] [--clear]
 //                                    poll every server's resource ledger
-//                                    (kLedgerDump) via the metadata server,
+//                                    (ledger section) via the metadata server,
 //                                    merge exactly, and print attribution
 //                                    tables (per tenant, per operation, or
 //                                    the hot-key sketch)
@@ -40,7 +40,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -51,7 +50,6 @@
 #include "common/trace.h"
 #include "glider/client/action_node.h"
 #include "glider/cluster_monitor.h"
-#include "net/rpc_client.h"
 #include "net/rpc_obs.h"
 #include "net/tcp_transport.h"
 #include "nodekernel/client/store_client.h"
@@ -124,33 +122,25 @@ int Usage(const std::string& unknown = "") {
   return 2;
 }
 
-// Sends an observability opcode directly to the server at `address` and
-// prints the JSON payload it returns.
-int DumpFromServer(net::TcpTransport& transport, const std::string& address,
-                   std::uint16_t opcode, bool clear) {
-  auto conn = transport.Connect(
-      address, net::LinkModel::Unshaped(LinkClass::kControl, nullptr));
-  if (!conn.ok()) return Fail(conn.status());
-  Buffer payload;
-  if (clear) {
-    payload.Resize(1);
-    payload.mutable_span()[0] = 1;
-  }
-  auto result = (*conn)->CallSync(opcode, std::move(payload));
-  if (!result.ok()) return Fail(result.status());
-  std::fwrite(result->data(), 1, result->size(), stdout);
+// Reply renderers for the single-server observability verbs.
+int PrintRaw(const Buffer& reply) {
+  std::fwrite(reply.data(), 1, reply.size(), stdout);
   std::printf("\n");
   return 0;
 }
 
-// Fetches one server's time-series rings (kSeriesDump) and prints each
-// series' latest window: `<name> n=<samples> last=<value>`.
-int PrintSeries(net::TcpTransport& transport, const std::string& address) {
-  auto conn = transport.Connect(
-      address, net::LinkModel::Unshaped(LinkClass::kControl, nullptr));
-  if (!conn.ok()) return Fail(conn.status());
-  auto dump = net::Call<net::SeriesDumpResponse>(**conn, net::kSeriesDump,
-                                                 Buffer{});
+// The metrics section as the stats JSON.
+int PrintStats(const Buffer& reply) {
+  auto dump = net::SeriesDumpResponse::Decode(reply.span());
+  if (!dump.ok()) return Fail(dump.status());
+  std::printf("%s\n", obs::ToJson(dump->snapshot).c_str());
+  return 0;
+}
+
+// The metrics section's time-series rings: each series' latest window as
+// `<name> n=<samples> last=<value>`.
+int PrintSeries(const Buffer& reply) {
+  auto dump = net::SeriesDumpResponse::Decode(reply.span());
   if (!dump.ok()) return Fail(dump.status());
   if (dump->sampler_interval_ms == 0) {
     std::printf("# sampler not running (start the daemon with --sample-ms)\n");
@@ -167,22 +157,50 @@ int PrintSeries(net::TcpTransport& transport, const std::string& address) {
   return 0;
 }
 
-// Profiles the server at `address` for `seconds`: starts its sampling
-// profiler (unless one is already running — then we only observe), waits,
-// and dumps collapsed stacks. Stops/clears only the session we started, so
-// concurrent operators don't tear down each other's windows.
-int Profile(net::TcpTransport& transport, const std::string& address,
-            int seconds, std::uint32_t hz, const std::string& folded_path) {
-  auto conn = transport.Connect(
-      address, net::LinkModel::Unshaped(LinkClass::kControl, nullptr));
-  if (!conn.ok()) return Fail(conn.status());
+// Every verb that reads one server's introspection section. `clearable`
+// verbs take an optional trailing `clear`; profile (no renderer) runs its
+// own start/stop/dump sequence.
+struct ObsVerb {
+  const char* verb;
+  net::Section section;
+  bool clearable;
+  int (*print)(const Buffer& reply);
+};
+constexpr ObsVerb kObsVerbs[] = {
+    {"stats", net::Section::kMetrics, false, PrintStats},
+    {"series", net::Section::kMetrics, false, PrintSeries},
+    {"trace-dump", net::Section::kTrace, true, PrintRaw},
+    {"slow-traces", net::Section::kSlowTraces, true, PrintRaw},
+    {"events", net::Section::kEvents, true, PrintRaw},
+    {"health", net::Section::kHealth, false, PrintRaw},
+    {"profile", net::Section::kProfile, false, nullptr},
+};
 
-  Buffer start_payload;
-  start_payload.Resize(5);
-  start_payload.mutable_span()[0] =
-      static_cast<std::uint8_t>(net::ProfileCmd::kStart);
-  std::memcpy(start_payload.mutable_span().data() + 1, &hz, sizeof(hz));
-  auto started = (*conn)->CallSync(net::kProfileDump, std::move(start_payload));
+// `profile <address> [--seconds N] [--hz H] [--folded out.txt]`: starts
+// the server's sampling profiler (unless one is already running — then we
+// only observe), waits, and dumps collapsed stacks. Stops/clears only the
+// session we started, so concurrent operators don't tear down each other's
+// windows.
+int Profile(ClusterMonitor& monitor, const std::vector<std::string>& args) {
+  const std::string& address = args[1];
+  int seconds = 2;
+  std::uint32_t hz = 0;  // 0 = server default (99)
+  std::string folded_path;
+  for (std::size_t i = 2; i + 1 < args.size(); i += 2) {
+    if (args[i] == "--seconds") {
+      seconds = std::stoi(args[i + 1]);
+    } else if (args[i] == "--hz") {
+      hz = static_cast<std::uint32_t>(std::stoul(args[i + 1]));
+    } else if (args[i] == "--folded") {
+      folded_path = args[i + 1];
+    } else {
+      return Usage();
+    }
+  }
+  auto profile = [&](net::ProfileCmd cmd, bool clear, std::uint32_t rate) {
+    return monitor.Fetch(address, {net::Section::kProfile, clear, cmd, rate});
+  };
+  auto started = profile(net::ProfileCmd::kStart, false, hz);
   if (!started.ok()) return Fail(started.status());
   const bool we_started = started->size() >= 1 && started->data()[0] == 1;
   if (!we_started) {
@@ -194,19 +212,11 @@ int Profile(net::TcpTransport& transport, const std::string& address,
   std::this_thread::sleep_for(std::chrono::seconds(seconds));
 
   if (we_started) {
-    Buffer stop_payload;
-    stop_payload.Resize(1);
-    stop_payload.mutable_span()[0] =
-        static_cast<std::uint8_t>(net::ProfileCmd::kStop);
-    auto stopped = (*conn)->CallSync(net::kProfileDump, std::move(stop_payload));
+    auto stopped = profile(net::ProfileCmd::kStop, false, 0);
     if (!stopped.ok()) return Fail(stopped.status());
   }
 
-  Buffer dump_payload;
-  dump_payload.Resize(1);
-  dump_payload.mutable_span()[0] = static_cast<std::uint8_t>(
-      we_started ? net::ProfileCmd::kDumpClear : net::ProfileCmd::kDump);
-  auto dump = (*conn)->CallSync(net::kProfileDump, std::move(dump_payload));
+  auto dump = profile(net::ProfileCmd::kDump, we_started, 0);
   if (!dump.ok()) return Fail(dump.status());
 
   if (!folded_path.empty()) {
@@ -225,25 +235,31 @@ int Profile(net::TcpTransport& transport, const std::string& address,
   return 0;
 }
 
+// Runs one single-server observability verb; args[1] is the server's
+// host:port.
+int Observe(ClusterMonitor& monitor, const ObsVerb& verb,
+            const std::vector<std::string>& args) {
+  if (verb.print == nullptr) return Profile(monitor, args);
+  const bool clear = verb.clearable && args.size() > 2 && args[2] == "clear";
+  auto reply = monitor.Fetch(args[1], {verb.section, clear});
+  if (!reply.ok()) return Fail(reply.status());
+  return verb.print(*reply);
+}
+
 // Polls every server via the metadata server and prints the merged view.
-int ClusterStats(net::TcpTransport& transport, const std::string& metadata) {
-  ClusterMonitor monitor(&transport, metadata,
-                         net::LinkModel::Unshaped(LinkClass::kControl,
-                                                  nullptr));
+int ClusterStats(ClusterMonitor& monitor) {
   auto sample = monitor.Poll();
   if (!sample.ok()) return Fail(sample.status());
   std::printf("servers:\n");
   for (const auto& server : sample->servers) {
     if (server.status.ok()) {
       std::printf("  %-21s %-8s counters=%zu histograms=%zu\n",
-                  server.server.address.c_str(),
-                  server.is_metadata ? "metadata" : "storage",
+                  server.server.address.c_str(), server.role(),
                   server.dump.snapshot.counters.size(),
                   server.dump.snapshot.histograms.size());
     } else {
       std::printf("  %-21s %-8s [%s]\n", server.server.address.c_str(),
-                  server.is_metadata ? "metadata" : "storage",
-                  server.status.ToString().c_str());
+                  server.role(), server.status.ToString().c_str());
     }
   }
   std::printf("merged counters:\n");
@@ -268,11 +284,7 @@ int ClusterStats(net::TcpTransport& transport, const std::string& metadata) {
 // space-saving rule) and prints one attribution table. `by` selects the
 // grouping: "principal" (per-tenant totals plus a per-op breakdown),
 // "action" (per-op totals across tenants), "key" (the hot-key sketch).
-int Ledger(net::TcpTransport& transport, const std::string& metadata,
-           const std::string& by, bool clear) {
-  ClusterMonitor monitor(&transport, metadata,
-                         net::LinkModel::Unshaped(LinkClass::kControl,
-                                                  nullptr));
+int Ledger(ClusterMonitor& monitor, const std::string& by, bool clear) {
   auto dump = monitor.PollLedgers(clear);
   if (!dump.ok()) return Fail(dump.status());
 
@@ -345,17 +357,9 @@ int Ledger(net::TcpTransport& transport, const std::string& metadata,
 
 // Polls every server a few times via the metadata server (so the failure
 // detector accumulates heartbeat intervals) and prints a per-node health /
-// load table. With `address` non-empty, instead dumps that server's own
-// health board JSON (populated when the daemon runs with --health-ms).
-int Health(net::TcpTransport& transport, const std::string& metadata,
-           const std::string& address) {
-  if (!address.empty()) {
-    return DumpFromServer(transport, address, net::kHealthDump,
-                          /*clear=*/false);
-  }
-  ClusterMonitor monitor(&transport, metadata,
-                         net::LinkModel::Unshaped(LinkClass::kControl,
-                                                  nullptr));
+// load table. (`health <address>` instead prints that server's own health
+// board JSON, populated when the daemon runs with --health-ms.)
+int Health(ClusterMonitor& monitor) {
   Result<ClusterMonitor::ClusterSample> sample = Status::Unavailable("unpolled");
   constexpr int kPolls = 3;
   for (int i = 0; i < kPolls; ++i) {
@@ -371,10 +375,6 @@ int Health(net::TcpTransport& transport, const std::string& metadata,
   std::printf("%-21s %-8s %-12s %8s %8s %8s\n", "ADDRESS", "ROLE", "HEALTH",
               "PHI", "LOAD", "HOT");
   for (const auto& server : sample->servers) {
-    const char* role = server.is_metadata ? "metadata"
-                       : server.server.storage_class == nk::kActiveClass
-                           ? "active"
-                           : "storage";
     std::string state(obs::PeerStateName(server.health));
     if (!server.status.ok() && server.health == obs::PeerState::kUnknown) {
       state = "unreachable";
@@ -387,7 +387,7 @@ int Health(net::TcpTransport& transport, const std::string& metadata,
       std::snprintf(hot, sizeof(hot), "-");
     }
     std::printf("%-21s %-8s %-12s %8.2f %8.2f %8s\n",
-                server.server.address.c_str(), role, state.c_str(),
+                server.server.address.c_str(), server.role(), state.c_str(),
                 server.phi, server.load_index, hot);
     if (!server.status.ok()) {
       std::printf("  [%s]\n", server.status.ToString().c_str());
@@ -414,13 +414,14 @@ int main(int argc, char** argv) {
   const std::string command = args[0];
 
   net::TcpTransport transport(4);
+  ClusterMonitor monitor(&transport, metadata,
+                         net::LinkModel::Unshaped(LinkClass::kControl,
+                                                  nullptr));
   // cluster-stats needs only the metadata address; everything else takes a
   // <path|address> argument.
-  if (command == "cluster-stats") return ClusterStats(transport, metadata);
+  if (command == "cluster-stats") return ClusterStats(monitor);
   // `health` takes an optional address: without one it polls the cluster.
-  if (command == "health") {
-    return Health(transport, metadata, args.size() > 1 ? args[1] : "");
-  }
+  if (command == "health" && args.size() < 2) return Health(monitor);
   // `ledger` polls the cluster via the metadata server; no address needed.
   if (command == "ledger") {
     std::string by = "principal";
@@ -441,57 +442,27 @@ int main(int argc, char** argv) {
                    by.c_str());
       return 2;
     }
-    return Ledger(transport, metadata, by, clear);
+    return Ledger(monitor, by, clear);
+  }
+  // Observability verbs talk to one server directly (the <address>
+  // argument is its host:port), no store client needed.
+  for (const ObsVerb& verb : kObsVerbs) {
+    if (command != verb.verb) continue;
+    if (args.size() < 2) return Usage();
+    return Observe(monitor, verb, args);
   }
   // Reject unknown verbs by name before complaining about a missing
-  // <path|address> argument, so `glider_cli frobnicate` says which verb
-  // it did not recognize.
-  static const char* kVerbs[] = {
-      "stats",  "trace-dump",    "slow-traces",  "series",
-      "events", "profile",       "mkdir",        "put",
-      "get",    "ls",            "rm",           "stat",
-      "action-create", "action-write", "action-read", "action-rm"};
+  // <path> argument, so `glider_cli frobnicate` says which verb it did
+  // not recognize.
+  static const char* kVerbs[] = {"mkdir",         "put",          "get",
+                                 "ls",            "rm",           "stat",
+                                 "action-create", "action-write", "action-read",
+                                 "action-rm"};
   bool known = false;
   for (const char* verb : kVerbs) known = known || command == verb;
   if (!known) return Usage(command);
   if (args.size() < 2) return Usage();
   const std::string path = args[1];
-
-  // Observability verbs talk to one server directly (the <path> argument is
-  // its host:port), no store client needed.
-  if (command == "stats") {
-    return DumpFromServer(transport, path, net::kStatsDump, /*clear=*/false);
-  }
-  if (command == "trace-dump") {
-    const bool clear = args.size() > 2 && args[2] == "clear";
-    return DumpFromServer(transport, path, net::kTraceDump, clear);
-  }
-  if (command == "slow-traces") {
-    const bool clear = args.size() > 2 && args[2] == "clear";
-    return DumpFromServer(transport, path, net::kSlowTraceDump, clear);
-  }
-  if (command == "series") return PrintSeries(transport, path);
-  if (command == "events") {
-    const bool clear = args.size() > 2 && args[2] == "clear";
-    return DumpFromServer(transport, path, net::kEventDump, clear);
-  }
-  if (command == "profile") {
-    int seconds = 2;
-    std::uint32_t hz = 0;  // 0 = server default (99)
-    std::string folded_path;
-    for (std::size_t i = 2; i + 1 < args.size(); i += 2) {
-      if (args[i] == "--seconds") {
-        seconds = std::stoi(args[i + 1]);
-      } else if (args[i] == "--hz") {
-        hz = static_cast<std::uint32_t>(std::stoul(args[i + 1]));
-      } else if (args[i] == "--folded") {
-        folded_path = args[i + 1];
-      } else {
-        return Usage();
-      }
-    }
-    return Profile(transport, path, seconds, hz, folded_path);
-  }
 
   // With GLIDER_TRACE=1 every other command becomes a trace root, so the
   // servers' trace-dump shows its RPCs; inert otherwise.

@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
   // --trace 1 turns on span recording + latency histograms (GLIDER_TRACE=1
   // in the environment does the same); dump via glider_cli stats/trace-dump.
   if (FlagOr(flags, "trace", "0") == "1") obs::SetEnabled(true);
-  // --sample-ms N starts the in-process time-series sampler (kSeriesDump /
+  // --sample-ms N starts the in-process time-series sampler (metrics section /
   // glider_top read its rings). Implies --trace: rates over disabled
   // histograms would be all zeros.
   const long sample_ms = std::stol(FlagOr(flags, "sample-ms", "0"));
@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
   auto metrics = std::make_shared<Metrics>();
   // --metrics-listen host:port serves GET /metrics (Prometheus text). Each
   // scrape re-mirrors the data-plane gauges and recomputes the load index,
-  // so Prometheus sees the same values kStatsDump / kSeriesDump would.
+  // so Prometheus sees the same values the metrics section would.
   std::unique_ptr<net::HttpMetricsServer> metrics_http;
   const std::string metrics_listen = FlagOr(flags, "metrics-listen", "");
   if (!metrics_listen.empty()) {
@@ -268,7 +268,8 @@ int main(int argc, char** argv) {
   // --health-ms N runs an in-process HealthMonitor: heartbeat every server
   // at this cadence, feed a phi-accrual failure detector, and publish the
   // verdicts as "health.phi.<address>" gauges (Prometheus: glider_health_phi)
-  // plus the health board served by kHealthDump (`glider_cli health <addr>`).
+  // plus the health board served by the health section (`glider_cli health
+  // <addr>`).
   std::unique_ptr<HealthMonitor> health;
   const long health_ms = std::stol(FlagOr(flags, "health-ms", "0"));
   if (health_ms > 0) {

@@ -3,8 +3,8 @@
 //
 //   glider_top --metadata host:port [--interval ms] [--once]
 //
-// Each tick polls every server via ClusterMonitor (one kSeriesDump RPC per
-// server), diffs the snapshots against the previous tick, and repaints:
+// Each tick polls every server via ClusterMonitor (one kIntrospect metrics
+// RPC per server), diffs the snapshots against the previous tick, and repaints:
 //
 //   * per-server rows: ops/s (RPCs handled), bytes in/out per second,
 //     action queue depth, windowed p50/p99 of server-side RPC handling,
@@ -240,10 +240,6 @@ std::string HumanBytes(double per_s) {
   return buffer;
 }
 
-const char* RoleName(const ClusterMonitor::ServerSample& server) {
-  if (server.is_metadata) return "metadata";
-  return server.server.storage_class == nk::kActiveClass ? "active" : "storage";
-}
 
 }  // namespace
 
@@ -314,7 +310,7 @@ int main(int argc, char** argv) {
         }
         if (!server.status.ok()) {
           std::printf("%-21s %-8s %52s %6s %-10s [%s]\n", address.c_str(),
-                      RoleName(server), "",
+                      server.role(), "",
                       "-", health, server.status.ToString().c_str());
           continue;
         }
@@ -327,7 +323,7 @@ int main(int argc, char** argv) {
         std::printf("%-21s %-8s %9.1f %9s %9s %5" PRId64 " %8" PRIu64
                     " %8" PRIu64 " %6.2f %-10s %-8s\n",
                     address.c_str(),
-                    RoleName(server),
+                    server.role(),
                     row.ops_per_s, HumanBytes(row.bytes_in_per_s).c_str(),
                     HumanBytes(row.bytes_out_per_s).c_str(), row.queue_depth,
                     row.p50_us, row.p99_us, server.load_index, health,

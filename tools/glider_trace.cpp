@@ -10,7 +10,7 @@
 // Live mode (--metadata): discovers every server, aligns their clocks by
 // RTT-midpoint sampling over kHeartbeat (each node's trace timebase is
 // steady-microseconds since *that process* started, so offsets are whole
-// boot-time deltas), fetches every kTraceDump, and merges the spans into
+// boot-time deltas), fetches every trace section, and merges the spans into
 // cross-node traces. Offline mode (--json, repeatable): parses Chrome/
 // Perfetto JSON dumps (e.g. from `glider_cli trace` or `glider_load
 // --trace-out`) and aligns nodes causally via cross-dump RPC span pairs.
@@ -59,7 +59,7 @@ int Usage() {
       "  top              per-component time across all traces\n"
       "options:\n"
       "  --metadata ADDR  live cluster: align clocks + fetch every server's\n"
-      "                   kTraceDump\n"
+      "                   trace section\n"
       "  --json FILE      offline: parse a Chrome-JSON dump (repeatable;\n"
       "                   nodes align causally via cross-dump RPC pairs)\n"
       "  --out FILE       write merged Perfetto JSON (aligned timeline,\n"
@@ -149,13 +149,13 @@ bool LoadSpans(const Options& options, obs::TraceAssembler& assembler) {
   }
   bool any = false;
   for (const auto& [address, offset] : offsets.value()) {
-    auto json = monitor.FetchTraceJson(address, options.clear);
+    auto json = monitor.Fetch(address, {net::Section::kTrace, options.clear});
     if (!json.ok()) {
       std::fprintf(stderr, "glider_trace: %s: trace dump failed: %s\n",
                    address.c_str(), json.status().ToString().c_str());
       continue;
     }
-    auto spans = obs::ParseChromeTraceJson(json.value());
+    auto spans = obs::ParseChromeTraceJson(json->AsStringView());
     if (!spans.ok()) {
       std::fprintf(stderr, "glider_trace: %s: bad trace JSON: %s\n",
                    address.c_str(), spans.status().ToString().c_str());
